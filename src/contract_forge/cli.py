@@ -16,12 +16,11 @@ import json
 import math
 import sys
 import time
-from concurrent.futures import ThreadPoolExecutor
 from typing import Optional
 
 from . import __version__
 from .blackbox import QueryOracle, blackbox_contract
-from .delta_solver import METHOD_CUTS, METHOD_ELLIPSOID, min_payment_delta, opt_contract_delta
+from .delta_solver import min_payment_delta, opt_contract_delta
 from .errors import ContractForgeError, InfeasibleError, InputError, ResourceError
 from .exact import first_best, opt_contract
 from .generators import (
@@ -144,7 +143,6 @@ def _trace_rows(action: int, trace) -> list:
     return [
         [
             action,
-            row.gamma,
             row.iteration,
             row.restricted_value,
             row.sum_weights,
@@ -164,24 +162,17 @@ def _delta_result_dict(res) -> dict:
         "gamma_star": res.gamma_star,
         "contract": contract_to_dict(res.contract),
         "cut_outcomes": [outcome_to_items(mask) for mask in res.cut_outcomes],
-        "dual_weights": None if res.dual_weights is None else list(res.dual_weights),
+        "dual_weights": list(res.dual_weights),
         "iterations": len(res.trace),
     }
 
 
 def cmd_delta_solve(args) -> int:
     setting = _load_setting(args)
-    params = {
-        "delta": args.delta,
-        "action": args.action,
-        "method": args.method,
-        "eps_search": args.eps_search,
-    }
+    params = {"delta": args.delta, "action": args.action}
     rows = []
     if args.action is None:
-        solved = opt_contract_delta(
-            setting, args.delta, eps_search=args.eps_search, method=args.method
-        )
+        solved = opt_contract_delta(setting, args.delta)
         result = {
             "payoff": solved.payoff,
             "action": solved.action,
@@ -192,9 +183,7 @@ def cmd_delta_solve(args) -> int:
         for row in solved.per_action:
             rows.extend(_trace_rows(row.action, row.trace))
     else:
-        res = min_payment_delta(
-            setting, args.action, args.delta, eps_search=args.eps_search, method=args.method
-        )
+        res = min_payment_delta(setting, args.action, args.delta)
         result = _delta_result_dict(res)
         contract = res.contract
         rows = _trace_rows(res.action, res.trace)
@@ -204,7 +193,6 @@ def cmd_delta_solve(args) -> int:
             writer.writerow(
                 [
                     "action",
-                    "gamma",
                     "iteration",
                     "restricted_value",
                     "sum_weights",
@@ -414,15 +402,11 @@ def _bench_one(path: str, delta: float, notion: str) -> list:
 
 
 def cmd_bench(args) -> int:
-    params = {"delta": args.delta, "notion": args.notion, "jobs": args.jobs}
+    params = {"delta": args.delta, "notion": args.notion}
     print(_provenance_comment(args, "bench", params))
     writer = csv.writer(sys.stdout, lineterminator="\n")
     writer.writerow(["instance", "n", "size", "first_best", "payoff", "action", "millis"])
-    if args.jobs > 1:
-        with ThreadPoolExecutor(max_workers=args.jobs) as pool:
-            rows = list(pool.map(lambda p: _bench_one(p, args.delta, args.notion), args.instances))
-    else:
-        rows = [_bench_one(p, args.delta, args.notion) for p in args.instances]
+    rows = [_bench_one(p, args.delta, args.notion) for p in args.instances]
     for row in sorted(rows, key=lambda r: r[0]):
         writer.writerow(row)
     return 0
@@ -454,9 +438,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--instance", help="instance JSON ('-' or omit for stdin)")
     p.add_argument("--delta", type=float, required=True)
     p.add_argument("--action", type=int, default=None, help="target a single action")
-    p.add_argument("--method", default=METHOD_CUTS, choices=[METHOD_CUTS, METHOD_ELLIPSOID])
-    p.add_argument("--eps-search", type=float, default=None, dest="eps_search")
-    p.add_argument("--trace", help="write the per-iteration search trace CSV here")
+    p.add_argument("--trace", help="write the per-round cutting-plane trace CSV here")
     p.add_argument("--contract-out", help="also write the contract JSON here")
     p.set_defaults(handler=cmd_delta_solve)
 
@@ -532,7 +514,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--instances", nargs="+", required=True)
     p.add_argument("--delta", type=float, default=0.0)
     p.add_argument("--notion", default="mult", choices=["mult", "add", "multiplicative", "additive"])
-    p.add_argument("--jobs", type=int, default=1)
     p.set_defaults(handler=cmd_bench)
     return parser
 

@@ -3,77 +3,71 @@
 Exact payment minimization needs one linear constraint per outcome, and a
 product setting has 2^m outcomes.  The workaround implemented here trades a
 multiplicative delta slack in the incentive constraints for polynomial running
-time: binary-search a benchmark payment level Gamma, and at each level try to
-push the dual of the payment LP up to Gamma.  Dual constraints are generated
-lazily by the approximate likelihood-ratio oracle (min_ratio_fptas with
-accuracy parameter delta).  A dual iterate the oracle cannot cut is, by the
-oracle's guarantee, exactly feasible for the ordinary (non-strengthened) dual,
-so it certifies that the true minimum payment is at least Gamma.  When the
-accumulated cuts alone bound the dual below Gamma, that level is settled as
-unreachable and the search moves down.
+time.  Write the payment on outcome S as x_S / q_{target,S} and add a base
+payment b paid on every outcome.  The payment LP is then
 
-Once the search brackets the threshold, a small primal LP over just the cut
-outcomes yields payments supported on those outcomes; the primal constraints
-carry the (1+delta) relaxation, so the resulting contract multiplicatively
-delta-incentivizes the target action while its expected payment stays within
-the search tolerance of the delta=0 optimum, and within gamma_star/(1+delta)
-overall.
+    min (1+delta) (sum_S x_S + b)
+    s.t. sum_S ((1+delta) - r_{i,S}) x_S + delta b >= c_target - c_i  (i != target)
+
+with r_{i,S} = q_{i,S} / q_{target,S}; its optimum is (1+delta) times the
+expected payment.  Its dual has one variable per rival action, one constraint
+lambda . ((1+delta) - r_S) <= 1+delta per outcome, and the row
+sum(lambda) <= (1+delta)/delta that comes from b.
+
+A single Kelley loop maximizes that dual: solve it over the outcomes found so
+far, ask the approximate likelihood-ratio oracle (min_ratio_fptas with
+accuracy parameter delta) for an outcome whose constraint the maximizer
+violates, add it and repeat.  When the oracle finds none, its guarantee makes
+the maximizer exactly feasible for the ordinary (delta=0) dual, so the dual
+value is at most the exact IC minimum payment.  The contract is read from the
+multipliers of that same last LP: they solve the payment LP restricted to the
+found outcomes, so the contract multiplicatively delta-incentivizes the target
+and pays the dual value over 1+delta, below the exact IC minimum with no
+search tolerance.
 
 The dual lives in n-1 dimensions, so n is capped small; the oracle cost grows
-with m and with 1/delta.  `--method ellipsoid` swaps the per-level feasibility
-test for a genuine central-cut ellipsoid (a fidelity mode; the cutting-plane
-loop is the default and is far more robust numerically).
+with m and with 1/delta.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional, Sequence, Tuple
+from typing import Optional, Tuple
 
 import numpy as np
 
 from .errors import InputError, ResourceError
 from .exact import OptContractResult
-from .lpcore import GREATER, LESS, LPConfig, LinearProgram, OPTIMAL, solve_lp
+from .lpcore import LESS, LinearProgram, OPTIMAL, solve_lp
 from .model import (
     MULTIPLICATIVE,
     ProductSetting,
     Sparse,
     TOL_TIE,
+    expected_payment,
     expected_reward,
     make_sparse,
     verify_delta_ic,
 )
-from .oracle import SeparationInstance, min_ratio_fptas
-
-METHOD_CUTS = "cuts"
-METHOD_ELLIPSOID = "ellipsoid"
-_METHODS = (METHOD_CUTS, METHOD_ELLIPSOID)
+from .oracle import OracleResult, SeparationInstance, min_ratio_fptas
 
 MAX_ACTIONS = 6
 
-# default binary-search tolerance, as a fraction of the target's expected reward
-EPS_SEARCH_FRACTION = 1e-6
-
-_CAP_TOL = 1e-9
-_MAX_PROBE_CUTS = 500
-_MAX_BRACKET_DOUBLINGS = 60
-_ELLIPSOID_RADIUS_FLOOR = 1e-7
+_MAX_ROUNDS = 500
 
 
 @dataclass(frozen=True)
 class TraceRow:
-    """One inner iteration of a feasibility probe at payment level `gamma`."""
+    """One round of the cutting-plane loop."""
 
-    gamma: float
     iteration: int
     restricted_value: float
     sum_weights: float
     cut_outcome: Optional[int]
     cut_ratio: float
     threshold: float
-    verdict: str  # "cut", "feasible" or "infeasible"
+    verdict: str  # "cut" or "feasible"
 
 
 @dataclass(frozen=True)
@@ -81,9 +75,9 @@ class DeltaSolveResult:
     action: int
     contract: Sparse
     expected_payment: float
-    gamma_star: float
+    gamma_star: float  # certified dual value: (1+delta) * expected_payment <= exact IC minimum
     cut_outcomes: Tuple[int, ...]
-    dual_weights: Optional[Tuple[float, ...]]
+    dual_weights: Tuple[float, ...]
     trace: Tuple[TraceRow, ...]
 
 
@@ -95,61 +89,56 @@ def _subset_probs(probs: np.ndarray, mask: int) -> np.ndarray:
 
 
 class _Solver:
-    """State shared across probes: normalized instance data and the cut pool."""
+    """Normalized instance data and the cut pool of one cutting-plane loop."""
 
     def __init__(self, setting: ProductSetting, action: int, delta: float):
         probs = np.asarray(setting.probs, dtype=float)
         rewards = np.asarray(setting.rewards, dtype=float)
         costs = np.asarray(setting.costs, dtype=float)
-        expected = probs @ rewards
-        scale = float(expected.max())
+        scale = float((probs @ rewards).max())
         if scale <= 0.0:
             scale = 1.0
         self.scale = scale
-        self.costs = costs / scale
-        self.rewards_i = float(expected[action]) / scale
+        costs = costs / scale
         self.delta = delta
         self.action = action
         self.others = [i for i in range(setting.n) if i != action]
         self.probs = probs
-        self.obj = np.array([self.costs[action] - self.costs[i] for i in self.others])
+        self.obj = np.array([costs[action] - costs[i] for i in self.others])
         self.ref_row = tuple(float(v) for v in probs[action])
         self.mix_rows = tuple(tuple(float(v) for v in probs[i]) for i in self.others)
         self.oracle_eps = min(delta, 1.0)
-        # cut pool: outcome bitmask -> likelihood-ratio vector over self.others
-        self.pool: dict[int, np.ndarray] = {}
+        # cut pool: outcome bitmask -> (target probability, likelihood ratios over self.others)
+        self.pool: dict[int, tuple[float, np.ndarray]] = {}
+        # oracle answers by normalized weights; with two actions every query is the same
+        self.answers: dict[tuple, OracleResult] = {}
         self.trace: list[TraceRow] = []
 
     def add_cut(self, mask: int) -> None:
         q = _subset_probs(self.probs, mask)
-        q_ref = q[self.action]
+        q_ref = float(q[self.action])
         if q_ref <= 0.0:
             raise ResourceError("separation returned an outcome the target never produces")
-        self.pool[mask] = q[self.others] / q_ref
+        self.pool[mask] = (q_ref, q[self.others] / q_ref)
 
-    def restricted_dual(self, gamma: Optional[float]) -> tuple[float, np.ndarray]:
-        """Max the dual over pooled cuts, optionally capped at objective gamma."""
-        k = len(self.others)
-        rows, relations, rhs = [], [], []
-        for mask in sorted(self.pool):
-            rows.append((1.0 + self.delta) - self.pool[mask])
-            relations.append(LESS)
-            rhs.append(1.0 + self.delta)
-        if gamma is not None:
-            rows.append(self.obj)
-            relations.append(LESS)
-            rhs.append(gamma)
+    def restricted_dual(self) -> tuple[float, np.ndarray, np.ndarray]:
+        """Max the dual over the pooled cuts and the base-payment row.
+
+        Returns the value, the maximizer and the row multipliers (one per
+        pooled outcome in pool order, then the base-payment row).
+        """
+        one = 1.0 + self.delta
+        rows = [one - ratios for _, ratios in self.pool.values()]
+        rhs = [one] * len(rows)
+        rows.append(np.ones(len(self.others)))
+        rhs.append(one / self.delta)
         lp = LinearProgram(
-            objective=self.obj,
-            sense="max",
-            rows=rows,
-            relations=relations,
-            rhs=rhs,
+            objective=self.obj, sense="max", rows=rows, relations=[LESS] * len(rows), rhs=rhs
         )
         sol = solve_lp(lp)
         if sol.status != OPTIMAL:
             raise ResourceError(f"restricted dual solve ended {sol.status}")
-        return sol.objective_value, np.maximum(sol.primal, 0.0)
+        return float(sol.objective_value), np.maximum(sol.primal, 0.0), np.maximum(sol.dual, 0.0)
 
     def separate(self, lam: np.ndarray) -> tuple[Optional[int], float, float]:
         """Look for a pooled-LP constraint violated at lam.
@@ -162,143 +151,54 @@ class _Solver:
         if total <= 1.0 + 1e-12:
             return None, math.nan, math.nan
         threshold = (1.0 + self.delta) * (1.0 - 1.0 / total)
-        inst = SeparationInstance(
-            weights=tuple(float(v) / total for v in lam),
-            mixtures=self.mix_rows,
-            reference=self.ref_row,
-        )
-        res = min_ratio_fptas(inst, eps=self.oracle_eps)
+        weights = tuple(float(v) / total for v in lam)
+        res = self.answers.get(weights)
+        if res is None:
+            inst = SeparationInstance(
+                weights=weights, mixtures=self.mix_rows, reference=self.ref_row
+            )
+            res = self.answers[weights] = min_ratio_fptas(inst, eps=self.oracle_eps)
         if res.ratio < threshold * (1.0 - 1e-12) and res.outcome not in self.pool:
             return res.outcome, res.ratio, threshold
         # a pool outcome re-reported as violated is LP-tolerance noise, not a cut
         return None, res.ratio, threshold
 
-    def probe_cuts(self, gamma: float) -> tuple[bool, Optional[np.ndarray]]:
-        """Can the dual reach gamma?  Grows the pool until the answer is firm."""
-        for it in range(_MAX_PROBE_CUTS):
-            value, lam = self.restricted_dual(gamma)
-            if value < gamma - _CAP_TOL * max(1.0, gamma):
-                self._record(gamma, it, value, lam, None, math.nan, math.nan, "infeasible")
-                return False, None
+    def run(self) -> tuple[float, np.ndarray, np.ndarray]:
+        """Cut until the oracle passes the maximizer; returns the last LP's solution."""
+        for it in range(_MAX_ROUNDS):
+            value, lam, multipliers = self.restricted_dual()
             outcome, ratio, threshold = self.separate(lam)
-            if outcome is None:
-                self._record(gamma, it, value, lam, None, ratio, threshold, "feasible")
-                return True, lam
-            self.add_cut(outcome)
-            self._record(gamma, it, value, lam, outcome, ratio, threshold, "cut")
-        raise ResourceError(
-            f"cut generation did not settle payment level {gamma * self.scale:.6g} "
-            f"within {_MAX_PROBE_CUTS} iterations"
-        )
-
-    def probe_ellipsoid(self, gamma: float) -> tuple[bool, Optional[np.ndarray]]:
-        """Ellipsoid feasibility test for {dual constraints, objective >= gamma}."""
-        k = len(self.others)
-        bound = (1.0 + self.delta) / self.delta
-        radius = bound * math.sqrt(k) + 1.0
-        x = np.full(k, bound / 2.0)
-        shape = np.eye(k) * radius**2
-        budget = int(math.ceil(4.0 * (k + 1) ** 2 * math.log(radius / _ELLIPSOID_RADIUS_FLOOR))) + 16
-        for it in range(budget):
-            cut = self._ellipsoid_violation(x, gamma)
-            if cut is None:
-                self._record(gamma, it, float(self.obj @ x), x, None, math.nan, math.nan, "feasible")
-                return True, x
-            g, outcome, ratio, threshold = cut
-            if outcome is not None:
-                self.add_cut(outcome)
-                self._record(gamma, it, float(self.obj @ x), x, outcome, ratio, threshold, "cut")
-            sg = shape @ g
-            denom = math.sqrt(float(g @ sg))
-            if denom < 1e-14:
-                break
-            x = x - sg / ((k + 1) * denom)
-            if k == 1:
-                shape = shape / 4.0
-            else:
-                shape = (k**2 / (k**2 - 1.0)) * (
-                    shape - (2.0 / (k + 1)) * np.outer(sg, sg) / denom**2
+            self.trace.append(
+                TraceRow(
+                    iteration=it,
+                    restricted_value=value * self.scale,
+                    sum_weights=float(lam.sum()),
+                    cut_outcome=outcome,
+                    cut_ratio=ratio,
+                    threshold=threshold,
+                    verdict="feasible" if outcome is None else "cut",
                 )
-        self._record(gamma, -1, math.nan, np.zeros(k), None, math.nan, math.nan, "infeasible")
-        return False, None
-
-    def _ellipsoid_violation(self, x, gamma):
-        """First violated halfspace at x, as (gradient, outcome, ratio, threshold)."""
-        neg = np.nonzero(x < 0.0)[0]
-        if neg.size:
-            g = np.zeros_like(x)
-            g[neg[0]] = -1.0
-            return g, None, math.nan, math.nan
-        if float(self.obj @ x) < gamma - _CAP_TOL * max(1.0, gamma):
-            return -self.obj, None, math.nan, math.nan
-        bound = (1.0 + self.delta) / self.delta
-        if float(x.sum()) > bound + 1e-9:
-            return np.ones_like(x), None, math.nan, math.nan
-        for mask in sorted(self.pool):
-            row = (1.0 + self.delta) - self.pool[mask]
-            if float(row @ x) > (1.0 + self.delta) + 1e-12:
-                return row, None, math.nan, math.nan
-        outcome, ratio, threshold = self.separate(x)
-        if outcome is not None:
-            q = _subset_probs(self.probs, outcome)
-            ratios = q[self.others] / q[self.action]
-            return (1.0 + self.delta) - ratios, outcome, ratio, threshold
-        return None
-
-    def extract(self) -> tuple[dict[int, float], float]:
-        """Small primal over the pooled outcomes; payments in normalized units."""
-        masks = sorted(self.pool)
-        if not masks:
-            return {}, 0.0
-        q_by_action = np.stack([_subset_probs(self.probs, mask) for mask in masks], axis=1)
-        q_ref = q_by_action[self.action]
-        rows, rhs = [], []
-        for idx, other in enumerate(self.others):
-            rows.append((1.0 + self.delta) * q_ref - q_by_action[other])
-            rhs.append(self.costs[self.action] - self.costs[other])
-        lp = LinearProgram(
-            objective=(1.0 + self.delta) * q_ref,
-            sense="min",
-            rows=rows,
-            relations=[GREATER] * len(rows),
-            rhs=rhs,
-        )
-        sol = solve_lp(lp)
-        if sol.status != OPTIMAL:
-            raise ResourceError(
-                "contract extraction LP ended " + sol.status + "; cut pool lacks a certificate"
             )
-        payments = {mask: float(p) for mask, p in zip(masks, sol.primal) if p > 0.0}
-        return payments, sol.objective_value / (1.0 + self.delta)
+            if outcome is None:
+                return value, lam, multipliers
+            self.add_cut(outcome)
+        raise ResourceError(f"cut generation did not settle within {_MAX_ROUNDS} rounds")
 
-    def _record(self, gamma, iteration, value, lam, outcome, ratio, threshold, verdict):
-        self.trace.append(
-            TraceRow(
-                gamma=gamma * self.scale,
-                iteration=iteration,
-                restricted_value=value * self.scale if not math.isnan(value) else value,
-                sum_weights=float(np.sum(lam)),
-                cut_outcome=outcome,
-                cut_ratio=ratio,
-                threshold=threshold,
-                verdict=verdict,
-            )
-        )
+    def contract(self, multipliers: np.ndarray) -> Sparse:
+        """Payments from the restricted dual's multipliers, in the setting's units."""
+        payments = {
+            mask: y / q_ref * self.scale
+            for (mask, (q_ref, _)), y in zip(self.pool.items(), multipliers)
+        }
+        return make_sparse(multipliers[-1] / self.delta * self.scale, payments)
 
 
-def min_payment_delta(
-    setting: ProductSetting,
-    action: int,
-    delta: float,
-    eps_search: Optional[float] = None,
-    method: str = METHOD_CUTS,
-) -> DeltaSolveResult:
+def min_payment_delta(setting: ProductSetting, action: int, delta: float) -> DeltaSolveResult:
     """Cheapest-found contract that multiplicatively delta-incentivizes `action`.
 
-    The expected payment is at most the exact (delta=0) minimum plus
-    eps_search, whenever that minimum is finite.  eps_search defaults to
-    EPS_SEARCH_FRACTION times the action's expected reward.  Payments come out
-    in the setting's own reward units (normalization is internal).
+    The expected payment is gamma_star / (1+delta), and gamma_star is at most
+    the exact (delta=0) minimum whenever that minimum is finite.  Payments
+    come out in the setting's own reward units (normalization is internal).
     """
     if not isinstance(setting, ProductSetting):
         raise InputError("min_payment_delta needs a product setting")
@@ -308,8 +208,6 @@ def min_payment_delta(
         raise InputError(f"action index {action} outside range [0, {setting.n})")
     if not (delta > 0.0):
         raise InputError("delta must be positive; use exact.min_payment for delta=0")
-    if method not in _METHODS:
-        raise InputError(f"unknown method {method!r}; expected one of {_METHODS}")
     if setting.n == 1:
         return DeltaSolveResult(
             action=0,
@@ -322,53 +220,8 @@ def min_payment_delta(
         )
 
     solver = _Solver(setting, action, delta)
-    probe = solver.probe_cuts if method == METHOD_CUTS else solver.probe_ellipsoid
-
-    r_i = solver.rewards_i
-    if eps_search is None:
-        eps = EPS_SEARCH_FRACTION * max(r_i, 1e-3)
-    else:
-        if eps_search <= 0.0:
-            raise InputError("eps_search must be positive")
-        eps = eps_search / solver.scale
-
-    lo = float(solver.costs[action])
-    accepted: Optional[np.ndarray] = None
-
-    # find a payment level the dual provably cannot reach
-    span = max(r_i - lo, 0.25)
-    hi = lo + span
-    for _ in range(_MAX_BRACKET_DOUBLINGS):
-        feasible, lam = probe(hi)
-        if not feasible:
-            break
-        accepted, lo = lam, hi
-        span *= 2.0
-        hi = lo + span
-    else:
-        raise ResourceError("payment level search did not close; dual appears unbounded")
-
-    while hi - lo > eps:
-        mid = 0.5 * (lo + hi)
-        feasible, lam = probe(mid)
-        if feasible:
-            accepted, lo = lam, mid
-        else:
-            hi = mid
-
-    if method == METHOD_ELLIPSOID:
-        # the extraction certificate must come from the LP relaxation itself
-        feasible, _ = solver.probe_cuts(hi)
-        if feasible:
-            raise ResourceError(
-                "ellipsoid verdict at the final payment level disagrees with the "
-                "cutting-plane certificate; raise the iteration budget"
-            )
-
-    payments_norm, payment_norm = solver.extract()
-    if payment_norm > hi / (1.0 + delta) + 1e-7 * max(1.0, hi):
-        raise ResourceError("extracted payment exceeds the certified level")
-    contract = make_sparse(0.0, {m: p * solver.scale for m, p in payments_norm.items()})
+    value, lam, multipliers = solver.run()
+    contract = solver.contract(multipliers)
     if not verify_delta_ic(
         setting, contract, action, delta, MULTIPLICATIVE, tol=1e-5 * max(1.0, solver.scale)
     ):
@@ -376,29 +229,21 @@ def min_payment_delta(
     return DeltaSolveResult(
         action=action,
         contract=contract,
-        expected_payment=float(payment_norm * solver.scale),
-        gamma_star=float(hi * solver.scale),
+        expected_payment=expected_payment(setting, action, contract),
+        gamma_star=value * solver.scale,
         cut_outcomes=tuple(sorted(solver.pool)),
-        dual_weights=tuple(float(v) for v in accepted) if accepted is not None else None,
+        dual_weights=tuple(float(v) for v in lam),
         trace=tuple(solver.trace),
     )
 
 
-def opt_contract_delta(
-    setting: ProductSetting,
-    delta: float,
-    eps_search: Optional[float] = None,
-    method: str = METHOD_CUTS,
-) -> OptContractResult:
+def opt_contract_delta(setting: ProductSetting, delta: float) -> OptContractResult:
     """Best action to delta-incentivize, by running min_payment_delta per action.
 
-    The winning payoff is within n * eps_search of the exact IC optimum.
-    Per-action DeltaSolveResults ride along in per_action.
+    The winning payoff is at least the exact IC optimum.  Per-action
+    DeltaSolveResults ride along in per_action.
     """
-    results = [
-        min_payment_delta(setting, i, delta, eps_search=eps_search, method=method)
-        for i in range(setting.n)
-    ]
+    results = [min_payment_delta(setting, i, delta) for i in range(setting.n)]
     payoffs = [
         expected_reward(setting, i) - res.expected_payment for i, res in enumerate(results)
     ]

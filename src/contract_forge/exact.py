@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import List, Optional
+from typing import TYPE_CHECKING, List, Optional, Union
 
 import numpy as np
 
@@ -28,6 +28,9 @@ from .model import (
     normalize_notion,
 )
 
+if TYPE_CHECKING:  # delta_solver imports this module
+    from .delta_solver import DeltaSolveResult
+
 IMPLEMENTABLE = "implementable"
 NOT_IMPLEMENTABLE = "not-implementable"
 
@@ -45,7 +48,7 @@ class OptContractResult:
     payoff: float
     action: int
     contract: Sparse
-    per_action: List[MinPaymentResult]
+    per_action: Union[List[MinPaymentResult], List[DeltaSolveResult]]
 
 
 def min_payment(

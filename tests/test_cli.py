@@ -151,8 +151,9 @@ def test_delta_solve_trace(tmp_path, capsys):
     res = result_of(out)
     assert res["expected_payment"] <= 9.0 + 1e-6
     lines = trace.read_text().splitlines()
-    assert lines[0].startswith("action,gamma,iteration")
+    assert lines[0].startswith("action,iteration,restricted_value")
     assert len(lines) >= 2
+    assert lines[-1].endswith(",feasible")
     assert "nan" not in trace.read_text()
 
 
@@ -257,7 +258,7 @@ def test_bench_sorted_over_jobs(tmp_path, capsys):
         path = tmp_path / f"r{seed}.json"
         run(capsys, ["gen", "random", "--n", "2", "--m", "3", "--seed", str(seed), "-o", str(path)])
         paths.append(str(path))
-    code, out, _ = run(capsys, ["bench", "--instances", *paths, "--jobs", "3"])
+    code, out, _ = run(capsys, ["bench", "--instances", *paths])
     assert code == 0
     rows = [line.split(",")[0] for line in out.splitlines()[2:]]
     assert rows == sorted(paths)

@@ -4,11 +4,10 @@ import pytest
 from contract_forge import InputError
 from contract_forge.delta_solver import (
     DeltaSolveResult,
-    METHOD_ELLIPSOID,
     min_payment_delta,
     opt_contract_delta,
 )
-from contract_forge.exact import IMPLEMENTABLE, min_payment
+from contract_forge.exact import IMPLEMENTABLE, NOT_IMPLEMENTABLE, min_payment
 from contract_forge.generators import gen_delta_advantage, gen_gap, gen_random
 from contract_forge.model import (
     MULTIPLICATIVE,
@@ -58,8 +57,8 @@ def test_two_action_closed_form():
         if rho >= 1.0 - 1e-9:
             continue
         opt = setting.costs[1] / (1.0 - rho)
-        res = min_payment_delta(setting, 1, delta=0.1, eps_search=1e-9)
-        assert res.expected_payment <= opt + 1e-6
+        res = min_payment_delta(setting, 1, delta=0.1)
+        assert res.expected_payment <= opt + 1e-9
         assert verify_delta_ic(setting, res.contract, 1, 0.1, MULTIPLICATIVE, tol=1e-7)
         checked += 1
 
@@ -70,12 +69,12 @@ def test_at_most_exact_optimum():
         setting = _random_product(rng, 3, 6)
         for action in range(3):
             exact = min_payment(setting, action, delta=0.0)
-            res = min_payment_delta(setting, action, delta=0.1, eps_search=1e-8)
+            res = min_payment_delta(setting, action, delta=0.1)
             assert verify_delta_ic(
                 setting, res.contract, action, 0.1, MULTIPLICATIVE, tol=1e-6
             )
             if exact.status == IMPLEMENTABLE:
-                assert res.expected_payment <= exact.expected_payment + 1e-6
+                assert res.expected_payment <= exact.expected_payment + 1e-9
             assert res.expected_payment <= res.gamma_star / 1.1 + 1e-7
 
 
@@ -86,8 +85,6 @@ def test_accepted_weights_feasible_for_plain_dual():
     for _ in range(5):
         setting = _random_product(rng, 3, 6)
         res = min_payment_delta(setting, 2, delta=0.2)
-        if res.dual_weights is None:
-            continue
         lam = np.asarray(res.dual_weights)
         total = lam.sum()
         probs = np.asarray(setting.probs)
@@ -130,23 +127,14 @@ def test_payment_consistent_with_contract():
     assert realized == pytest.approx(res.expected_payment, abs=1e-9)
 
 
-def test_ellipsoid_matches_cuts():
-    setting = gen_gap(2, 0.1)
-    cuts = min_payment_delta(setting, 1, delta=0.1)
-    ell = min_payment_delta(setting, 1, delta=0.1, method=METHOD_ELLIPSOID)
-    assert verify_delta_ic(setting, ell.contract, 1, 0.1, MULTIPLICATIVE, tol=1e-7)
-    assert ell.expected_payment <= 9.0 + 1e-5
-    assert abs(ell.expected_payment - cuts.expected_payment) <= 1e-3 * cuts.expected_payment
-
-
 def test_trace_records_search():
     setting = gen_gap(2, 0.1)
     res = min_payment_delta(setting, 1, delta=0.05)
-    assert res.trace
-    verdicts = {row.verdict for row in res.trace}
-    assert "infeasible" in verdicts
-    gammas = [row.gamma for row in res.trace]
-    assert max(gammas) <= res.gamma_star * 4 + 1e-9
+    verdicts = [row.verdict for row in res.trace]
+    assert verdicts == ["cut"] * (len(verdicts) - 1) + ["feasible"]
+    assert [row.iteration for row in res.trace] == list(range(len(verdicts)))
+    assert [row.cut_outcome for row in res.trace[:-1]] == list(res.cut_outcomes)
+    assert res.trace[-1].restricted_value == pytest.approx(res.gamma_star)
 
 
 def test_input_validation():
@@ -155,10 +143,6 @@ def test_input_validation():
         min_payment_delta(setting, 1, delta=0.0)
     with pytest.raises(InputError):
         min_payment_delta(setting, 5, delta=0.1)
-    with pytest.raises(InputError):
-        min_payment_delta(setting, 1, delta=0.1, method="simplex")
-    with pytest.raises(InputError):
-        min_payment_delta(setting, 1, delta=0.1, eps_search=-1.0)
     wide = gen_random(7, 3, seed=1)
     with pytest.raises(InputError):
         min_payment_delta(wide, 0, delta=0.1)
@@ -173,5 +157,30 @@ def test_payoff_near_ic_optimum():
             for i in range(3)
             if min_payment(setting, i).status == IMPLEMENTABLE
         )
-        opt = opt_contract_delta(setting, delta=0.1, eps_search=1e-8)
-        assert opt.payoff >= ic_best - 1e-6
+        opt = opt_contract_delta(setting, delta=0.1)
+        assert opt.payoff >= ic_best - 1e-9
+
+
+@pytest.mark.parametrize("n, m, seed, action", [(4, 10, 5, 3), (4, 14, 280, 2)])
+def test_many_actions_within_exact_minimum(n, m, seed, action):
+    # the payments and the certificate come from one LP, so they cannot
+    # disagree on settings with three or more actions
+    setting = gen_random(n, m, seed=seed)
+    res = min_payment_delta(setting, action, delta=0.1)
+    assert verify_delta_ic(setting, res.contract, action, 0.1, MULTIPLICATIVE, tol=1e-9)
+    exact = min_payment(setting, action)
+    assert exact.status == IMPLEMENTABLE
+    assert res.expected_payment <= exact.expected_payment + 1e-9
+
+
+def test_twin_of_cheaper_action_takes_base_payment():
+    # action 1 has action 0's item probabilities at a higher cost: no contract
+    # makes it IC, and the delta-IC minimum is the base payment (c_1 - c_0) / delta
+    setting = ProductSetting(
+        costs=(0.1, 0.3), rewards=(1.0, 1.0), probs=((0.6, 0.5), (0.6, 0.5))
+    )
+    assert min_payment(setting, 1).status == NOT_IMPLEMENTABLE
+    res = min_payment_delta(setting, 1, delta=0.1)
+    assert res.contract.base == pytest.approx(2.0, rel=1e-12)
+    assert res.expected_payment == pytest.approx(2.0, rel=1e-12)
+    assert verify_delta_ic(setting, res.contract, 1, 0.1, MULTIPLICATIVE, tol=1e-9)
