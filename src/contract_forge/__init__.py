@@ -22,9 +22,12 @@ from .model import (
     agent_utility,
     best_response,
     expected_payment,
+    expected_payments,
     expected_reward,
+    expected_rewards,
     ic_slack,
     is_normalized,
+    outcome_probabilities,
     outcome_probability,
     principal_payoff,
     product_to_explicit,

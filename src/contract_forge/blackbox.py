@@ -83,10 +83,10 @@ class QueryOracle:
         if size < 1:
             raise InputError("size must be at least 1")
         if isinstance(self.hidden, ProductSetting):
-            row = np.asarray(self.hidden.probs[action])
+            row = self.hidden.probs[action]
             bits = self._rng.random((size, row.size)) < row
             return bits.astype(np.int64) @ (np.int64(1) << np.arange(row.size, dtype=np.int64))
-        row = np.asarray(self.hidden.dist[action])
+        row = self.hidden.dist[action]
         return self._rng.choice(row.size, size=size, p=row).astype(np.int64)
 
 
@@ -148,8 +148,8 @@ def estimate(oracle: QueryOracle, s: int) -> EmpiricalModel:
     counts = tuple(tuple(table.get(o, 0) for o in outcomes) for table in per_action)
     setting = ExplicitSetting(
         costs=hidden.costs,
-        outcome_rewards=tuple(outcome_reward(hidden, o) for o in outcomes),
-        dist=tuple(tuple(c / s for c in row) for row in counts),
+        outcome_rewards=[outcome_reward(hidden, o) for o in outcomes],
+        dist=np.array(counts, dtype=float) / s,
     )
     return EmpiricalModel(outcomes=outcomes, counts=counts, samples=s, setting=setting)
 

@@ -43,6 +43,7 @@ from .model import (
     contract_to_dict,
     dumps,
     ic_slack,
+    load_json,
     outcome_to_items,
     setting_from_dict,
     setting_to_dict,
@@ -57,9 +58,9 @@ def _diag(message: str) -> None:
 
 def _read_json_source(path: Optional[str]) -> dict:
     if path is None or path == "-":
-        return json.load(sys.stdin)
+        return load_json(sys.stdin)
     with open(path) as fh:
-        return json.load(fh)
+        return load_json(fh)
 
 
 def _load_setting(args):
@@ -376,7 +377,7 @@ def cmd_verify(args) -> int:
         "action": args.action,
         "delta": args.delta,
         "notion": args.notion,
-        "slack": slack,
+        "slack": _json_ready(slack),
         "ok": ok,
     }
     _emit_result(
@@ -393,7 +394,7 @@ def cmd_verify(args) -> int:
 
 def _bench_one(path: str, delta: float, notion: str) -> list:
     with open(path) as fh:
-        setting = setting_from_dict(json.load(fh))
+        setting = setting_from_dict(load_json(fh))
     start = time.perf_counter()
     solved = opt_contract(setting, delta=delta, notion=notion)
     millis = (time.perf_counter() - start) * 1000.0

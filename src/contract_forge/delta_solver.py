@@ -47,7 +47,9 @@ from .model import (
     TOL_TIE,
     expected_payment,
     expected_reward,
+    expected_rewards,
     make_sparse,
+    outcome_probabilities,
     verify_delta_ic,
 )
 from .oracle import OracleResult, SeparationInstance, min_ratio_fptas
@@ -81,32 +83,18 @@ class DeltaSolveResult:
     trace: Tuple[TraceRow, ...]
 
 
-def _subset_probs(probs: np.ndarray, mask: int) -> np.ndarray:
-    """Probability of outcome `mask` under every action's product distribution."""
-    m = probs.shape[1]
-    bits = np.array([(mask >> j) & 1 for j in range(m)], dtype=bool)
-    return np.where(bits[None, :], probs, 1.0 - probs).prod(axis=1)
-
-
 class _Solver:
     """Normalized instance data and the cut pool of one cutting-plane loop."""
 
     def __init__(self, setting: ProductSetting, action: int, delta: float):
-        probs = np.asarray(setting.probs, dtype=float)
-        rewards = np.asarray(setting.rewards, dtype=float)
-        costs = np.asarray(setting.costs, dtype=float)
-        scale = float((probs @ rewards).max())
-        if scale <= 0.0:
-            scale = 1.0
-        self.scale = scale
-        costs = costs / scale
+        self.setting = setting
+        scale = float(expected_rewards(setting).max())
+        self.scale = scale if scale > 0.0 else 1.0
+        costs = setting.costs / self.scale
         self.delta = delta
         self.action = action
         self.others = [i for i in range(setting.n) if i != action]
-        self.probs = probs
-        self.obj = np.array([costs[action] - costs[i] for i in self.others])
-        self.ref_row = tuple(float(v) for v in probs[action])
-        self.mix_rows = tuple(tuple(float(v) for v in probs[i]) for i in self.others)
+        self.obj = costs[action] - costs[self.others]
         self.oracle_eps = min(delta, 1.0)
         # cut pool: outcome bitmask -> (target probability, likelihood ratios over self.others)
         self.pool: dict[int, tuple[float, np.ndarray]] = {}
@@ -115,7 +103,7 @@ class _Solver:
         self.trace: list[TraceRow] = []
 
     def add_cut(self, mask: int) -> None:
-        q = _subset_probs(self.probs, mask)
+        q = outcome_probabilities(self.setting, [mask])[:, 0]
         q_ref = float(q[self.action])
         if q_ref <= 0.0:
             raise ResourceError("separation returned an outcome the target never produces")
@@ -154,8 +142,9 @@ class _Solver:
         weights = tuple(float(v) / total for v in lam)
         res = self.answers.get(weights)
         if res is None:
+            probs = self.setting.probs
             inst = SeparationInstance(
-                weights=weights, mixtures=self.mix_rows, reference=self.ref_row
+                weights=weights, mixtures=probs[self.others], reference=probs[self.action]
             )
             res = self.answers[weights] = min_ratio_fptas(inst, eps=self.oracle_eps)
         if res.ratio < threshold * (1.0 - 1e-12) and res.outcome not in self.pool:

@@ -16,14 +16,12 @@ import numpy as np
 from .errors import InputError
 from .lpcore import INFEASIBLE, LESS, OPTIMAL, LinearProgram, LPConfig, solve_lp
 from .model import (
-    ADDITIVE,
     MULTIPLICATIVE,
     TOL_TIE,
-    ExplicitSetting,
     Setting,
     Sparse,
     as_explicit,
-    expected_reward,
+    expected_rewards,
     make_sparse,
     normalize_notion,
 )
@@ -70,20 +68,20 @@ def min_payment(
     explicit = as_explicit(setting)
     if not (0 <= action < explicit.n):
         raise InputError(f"action index {action} outside range [0, {explicit.n})")
-    dist = np.asarray(explicit.dist)
-    q_i = dist[action]
-    c_i = explicit.costs[action]
-    lp = LinearProgram(objective=q_i.tolist())
-    for other in range(explicit.n):
-        if other == action:
-            continue
-        if notion == MULTIPLICATIVE:
-            row = dist[other] - (1.0 + delta) * q_i
-            bound = explicit.costs[other] - c_i
-        else:
-            row = dist[other] - q_i
-            bound = explicit.costs[other] - c_i + delta
-        lp.add_row(row.tolist(), LESS, bound)
+    q_i = explicit.dist[action]
+    rivals = np.arange(explicit.n) != action
+    bounds = explicit.costs[rivals] - explicit.costs[action]
+    if notion == MULTIPLICATIVE:
+        rows = explicit.dist[rivals] - (1.0 + delta) * q_i
+    else:
+        rows = explicit.dist[rivals] - q_i
+        bounds = bounds + delta
+    # payments scale with the bounds; solving in units of the largest one
+    # keeps the simplex tolerances independent of the unit of money
+    scale = float(np.abs(bounds).max(initial=0.0)) or 1.0
+    lp = LinearProgram(
+        objective=q_i, rows=rows, relations=[LESS] * len(rows), rhs=bounds / scale
+    )
     sol = solve_lp(lp, config)
     if sol.status == INFEASIBLE:
         return MinPaymentResult(
@@ -91,11 +89,10 @@ def min_payment(
         )
     if sol.status != OPTIMAL:
         raise InputError(f"unexpected LP status {sol.status} for a nonnegative objective")
-    contract = make_sparse(0.0, {s: sol.primal[s] for s in range(explicit.num_outcomes)})
     return MinPaymentResult(
         action=action,
-        expected_payment=float(sol.objective_value),
-        contract=contract,
+        expected_payment=float(sol.objective_value) * scale,
+        contract=make_sparse(0.0, dict(enumerate(sol.primal * scale))),
         status=IMPLEMENTABLE,
     )
 
@@ -112,8 +109,9 @@ def opt_contract(
         min_payment(explicit, i, delta=delta, notion=notion, config=config)
         for i in range(explicit.n)
     ]
+    rewards = expected_rewards(explicit)
     payoffs = [
-        expected_reward(explicit, i) - res.expected_payment if res.status == IMPLEMENTABLE else -math.inf
+        float(rewards[i]) - res.expected_payment if res.status == IMPLEMENTABLE else -math.inf
         for i, res in enumerate(per_action)
     ]
     best = max(payoffs)
@@ -130,4 +128,4 @@ def opt_contract(
 
 def first_best(setting: Setting) -> float:
     """Full-welfare benchmark: the largest expected reward minus cost."""
-    return max(expected_reward(setting, i) - setting.costs[i] for i in range(setting.n))
+    return float((expected_rewards(setting) - setting.costs).max())

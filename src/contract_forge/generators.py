@@ -164,12 +164,12 @@ def _product_compose(formula: CnfFormula, c: int, epsilon: float, num_blocks: in
     for block in range(num_blocks):
         gap_prob = gap.probs[block][0]
         for row in sat.probs:
-            probs.append(row + (gap_prob,))
+            probs.append(np.append(row, gap_prob))
             costs.append(gap.costs[block])
     probs.append((0.5,) * m + (gap.probs[c - 1][0],))
     costs.append(gap.costs[c - 1])
     rewards = (0.0,) * m + (gap.rewards[0],)
-    return ProductSetting(costs=tuple(costs), rewards=rewards, probs=tuple(probs))
+    return ProductSetting(costs=costs, rewards=rewards, probs=probs)
 
 
 # ---------------------------------------------------------------------------
@@ -352,8 +352,4 @@ def gen_random(n: int, m: int, seed: int, margin: float = 0.05) -> ProductSettin
     for i in range(1, n):
         cap = max(0.0, float(exp_rewards[i]) - margin)
         costs.append(cost_fracs[i] * cap)
-    return ProductSetting(
-        costs=tuple(costs),
-        rewards=tuple(rewards.tolist()),
-        probs=tuple(tuple(row) for row in probs.tolist()),
-    )
+    return ProductSetting(costs=costs, rewards=rewards, probs=probs)

@@ -20,18 +20,8 @@ from typing import List, Optional, Sequence, Tuple
 import numpy as np
 
 from .errors import InputError
-from .lpcore import GREATER, LESS, LinearProgram, OPTIMAL, INFEASIBLE, solve_lp
-from .model import (
-    ADDITIVE,
-    ExplicitSetting,
-    Linear,
-    ProductSetting,
-    Separable,
-    Setting,
-    _item_marginals,
-    expected_reward,
-    is_normalized,
-)
+from .lpcore import LESS, OPTIMAL, LinearProgram, solve_lp
+from .model import Setting, _item_marginals, expected_rewards, is_normalized
 
 _TOL_DUP = 0.0  # duplicate expected rewards are rejected on exact equality
 _TOL_PAYOFF_TIE = 1e-9  # payoffs this close (relative) count as tied
@@ -68,19 +58,13 @@ class LinearApproxResult:
     candidates: Tuple[Tuple[float, int, float], ...]
 
 
-def _rewards_costs(setting: Setting) -> tuple[np.ndarray, np.ndarray]:
-    rewards = np.array([expected_reward(setting, i) for i in range(setting.n)])
-    costs = np.asarray(setting.costs, dtype=float)
-    return rewards, costs
-
-
 def upper_envelope(setting: Setting) -> Envelope:
     """Trace the agent's best action as the reward fraction alpha sweeps [0, 1].
 
     Ties at a breakpoint go to the higher-reward action, which is also the
     principal's preference there.  Actions never on top are simply absent.
     """
-    rewards, costs = _rewards_costs(setting)
+    rewards, costs = expected_rewards(setting), setting.costs
     order = sorted(range(setting.n), key=lambda i: (rewards[i], -costs[i]))
     for a, b in zip(order, order[1:]):
         if rewards[b] - rewards[a] <= _TOL_DUP:
@@ -114,12 +98,13 @@ def upper_envelope(setting: Setting) -> Envelope:
 def optimal_linear(setting: Setting, delta: float = 0.0) -> Tuple[float, int, float]:
     """Best (alpha, action, payoff) among additive delta-IC linear contracts.
 
-    delta=0 reads the answer off the envelope's left endpoints; delta>0 solves
-    a one-variable LP per action.  Payoff ties go to the higher-reward action.
+    delta=0 reads the answer off the envelope's left endpoints; delta>0 takes
+    each action's cheapest delta-IC share in closed form.  Payoff ties go to
+    the higher-reward action.
     """
     if delta < 0.0:
         raise InputError("delta must be nonnegative")
-    rewards, _ = _rewards_costs(setting)
+    rewards = expected_rewards(setting)
     if delta == 0.0:
         env = upper_envelope(setting)
         candidates = [
@@ -129,7 +114,7 @@ def optimal_linear(setting: Setting, delta: float = 0.0) -> Tuple[float, int, fl
     else:
         candidates = []
         for i in range(setting.n):
-            alpha = _cheapest_delta_ic_alpha(setting, i, delta, rewards)
+            alpha = _cheapest_delta_ic_alpha(rewards, setting.costs, i, delta)
             if alpha is not None:
                 candidates.append((alpha, i, (1.0 - alpha) * rewards[i]))
     if not candidates:
@@ -152,29 +137,23 @@ def _pick_best(
 
 
 def _cheapest_delta_ic_alpha(
-    setting: Setting, action: int, delta: float, rewards: np.ndarray
+    rewards: np.ndarray, costs: np.ndarray, action: int, delta: float
 ) -> Optional[float]:
-    """Smallest alpha in [0,1] at which `action` is an additive delta-best response."""
-    costs = setting.costs
-    rows, relations, rhs = [], [], []
-    for other in range(setting.n):
-        if other == action:
-            continue
-        rows.append([rewards[action] - rewards[other]])
-        relations.append(GREATER)
-        rhs.append(costs[action] - costs[other] - delta)
-    lp = LinearProgram(
-        objective=[1.0],
-        sense="min",
-        rows=rows,
-        relations=relations,
-        rhs=rhs,
-        upper=[1.0],
-    )
-    sol = solve_lp(lp)
-    if sol.status != OPTIMAL:
+    """Smallest alpha in [0,1] at which `action` is an additive delta-best response.
+
+    Rival k asks alpha (R_a - R_k) >= c_a - c_k - delta: a lower bound on
+    alpha when R_a > R_k, an upper bound when R_a < R_k, and a plain yes/no
+    when the rewards tie.
+    """
+    gain = rewards[action] - rewards
+    need = costs[action] - costs - delta
+    rivals = np.arange(len(rewards)) != action
+    if (need[rivals & (gain == 0.0)] > 0.0).any():
         return None
-    return float(min(max(sol.primal[0], 0.0), 1.0))
+    above, below = rivals & (gain > 0.0), rivals & (gain < 0.0)
+    lo = max(0.0, float((need[above] / gain[above]).max(initial=0.0)))
+    hi = min(1.0, float((need[below] / gain[below]).min(initial=1.0)))
+    return lo if lo <= hi else None
 
 
 def optimal_separable(
@@ -188,25 +167,18 @@ def optimal_separable(
     """
     if delta < 0.0:
         raise InputError("delta must be nonnegative")
-    rewards, costs = _rewards_costs(setting)
-    if isinstance(setting, ProductSetting):
-        marg = np.asarray(setting.probs, dtype=float)
-    elif isinstance(setting, ExplicitSetting):
-        marg = _item_marginals(setting)
-    else:
-        raise InputError(f"unsupported setting type {type(setting).__name__}")
-    m = marg.shape[1]
+    rewards, costs = expected_rewards(setting), setting.costs
+    marg = _item_marginals(setting)
     best = None
     for i in range(setting.n):
-        rows, relations, rhs = [], [], []
-        for other in range(setting.n):
-            if other == i:
-                continue
-            rows.append(marg[other] - marg[i])
-            relations.append(LESS)
-            rhs.append(costs[other] - costs[i] + delta)
+        rivals = np.arange(setting.n) != i
         sol = solve_lp(
-            LinearProgram(objective=marg[i], sense="min", rows=rows, relations=relations, rhs=rhs)
+            LinearProgram(
+                objective=marg[i],
+                rows=marg[rivals] - marg[i],
+                relations=[LESS] * (setting.n - 1),
+                rhs=costs[rivals] - costs[i] + delta,
+            )
         )
         if sol.status != OPTIMAL:
             continue
@@ -242,7 +214,7 @@ def approx_linear_delta(setting: Setting, delta: float, gamma: float) -> LinearA
         warnings.warn(
             "approximation guarantee assumes max expected reward <= 1", stacklevel=2
         )
-    rewards, costs = _rewards_costs(setting)
+    rewards, costs = expected_rewards(setting), setting.costs
     env = upper_envelope(setting)
     kappa = math.ceil(math.log(1.0 / gamma) / math.log(1.0 + delta))
 

@@ -5,15 +5,12 @@ handful of rows (or vice versa), so a dense tableau with Bland's anti-cycling
 rule is fast enough and fully deterministic. Exposes primal values, one dual
 multiplier per constraint, and a Farkas-style certificate on infeasibility.
 
-Conventions. Variables have finite lower bounds (default 0) and optional
-upper bounds (np.inf for none; enforced via internal rows). Duals are signed
-so that dual_objective_value equals objective_value at an optimum for both
-senses: for sense "min", >= rows carry nonnegative multipliers and <= rows
-nonpositive ones; for "max" the signs flip. The Farkas certificate y refers
-to the lower-bound-shifted system (identical to the input rows when all lower
-bounds are 0, the certificate covers user rows only) and satisfies
-sum_k y_k a_k <= 0 componentwise with sum_k y_k b_k > 0, where y_k >= 0 on
->= rows and y_k <= 0 on <= rows.
+Conventions. Variables are nonnegative; any other bound is a row. Duals are
+signed so that dual_objective_value equals objective_value at an optimum for
+both senses: for sense "min", >= rows carry nonnegative multipliers and <=
+rows nonpositive ones; for "max" the signs flip. The Farkas certificate y
+satisfies sum_k y_k a_k <= 0 componentwise with sum_k y_k b_k > 0, where
+y_k >= 0 on >= rows and y_k <= 0 on <= rows.
 """
 
 from __future__ import annotations
@@ -55,8 +52,6 @@ class LinearProgram:
     rows: List[Sequence[float]] = field(default_factory=list)
     relations: List[str] = field(default_factory=list)
     rhs: List[float] = field(default_factory=list)
-    lower: Optional[Sequence[float]] = None  # default all-zero
-    upper: Optional[Sequence[float]] = None  # np.inf entries mean unbounded
 
     def add_row(self, row: Sequence[float], relation: str, value: float) -> None:
         self.rows.append(row)
@@ -84,7 +79,7 @@ def _validate(lp: LinearProgram):
         raise InputError(f"sense must be 'min' or 'max', got {lp.sense!r}")
     if not (len(lp.rows) == len(lp.relations) == len(lp.rhs)):
         raise InputError("rows, relations, and rhs must have equal lengths")
-    if lp.rows:
+    if len(lp.rows):
         rows = np.asarray(lp.rows, dtype=float)
         if rows.shape != (len(lp.rows), nx):
             raise InputError("constraint rows must match the objective length")
@@ -94,46 +89,19 @@ def _validate(lp: LinearProgram):
     for rel in lp.relations:
         if rel not in _RELATIONS:
             raise InputError(f"unknown relation {rel!r}")
-    lower = np.zeros(nx) if lp.lower is None else np.asarray(lp.lower, dtype=float)
-    upper = np.full(nx, np.inf) if lp.upper is None else np.asarray(lp.upper, dtype=float)
-    if lower.shape != (nx,) or upper.shape != (nx,):
-        raise InputError("bound vectors must match the objective length")
-    for name, arr in (("objective", c), ("rows", rows), ("rhs", rhs), ("lower", lower)):
+    for name, arr in (("objective", c), ("rows", rows), ("rhs", rhs)):
         if not np.all(np.isfinite(arr)):
             raise InputError(f"non-finite value in {name}")
-    if np.any(np.isnan(upper)) or np.any(upper == -np.inf):
-        raise InputError("upper bounds must be finite or +inf")
-    if np.any(upper < lower):
-        raise InputError("upper bound below lower bound")
-    return c, rows, list(lp.relations), rhs, lower, upper
+    return c, rows, list(lp.relations), rhs
 
 
 def solve_lp(lp: LinearProgram, config: Optional[LPConfig] = None) -> LPSolution:
     cfg = config or LPConfig()
-    c, rows, relations, rhs, lower, upper = _validate(lp)
+    c, a, rel_list, b = _validate(lp)
     nx = c.size
-    n_user = rows.shape[0]
+    nr = a.shape[0]
     sense_sign = 1.0 if lp.sense == "min" else -1.0
     c_int = sense_sign * c
-
-    # shift lower bounds to zero: x = z + lower
-    b_shift = rhs - rows @ lower
-    const_term = float(c_int @ lower)
-
-    # upper bounds become internal rows z_j <= u_j - l_j
-    a_blocks = [rows]
-    rel_list = list(relations)
-    b_parts = [b_shift]
-    for j in range(nx):
-        if np.isfinite(upper[j]):
-            e = np.zeros(nx)
-            e[j] = 1.0
-            a_blocks.append(e.reshape(1, -1))
-            rel_list.append(LESS)
-            b_parts.append(np.array([upper[j] - lower[j]]))
-    a = np.vstack(a_blocks)
-    b = np.concatenate(b_parts)
-    nr = a.shape[0]
 
     # orient every row so b >= 0, tracking signs for dual recovery
     sign = np.where(b < 0, -1.0, 1.0)
@@ -175,23 +143,29 @@ def solve_lp(lp: LinearProgram, config: Optional[LPConfig] = None) -> LPSolution
                 f"simplex iteration limit {cfg.max_iter} exceeded ({nx} vars, {nr} rows)"
             )
 
-    def run_simplex(enterable: np.ndarray) -> str:
-        """Bland's rule on the maintained reduced-cost row."""
+    def run_simplex(enterable: np.ndarray, bounded: bool) -> str:
+        """Bland's rule on the maintained reduced-cost row.
+
+        With bounded=True the objective is known to be bounded below, so a
+        column that looks like a ray has a negative reduced cost only by
+        roundoff: it is passed over instead of ending the run as UNBOUNDED.
+        """
         while True:
             red = t[-1, :-1]
-            candidates = np.flatnonzero(enterable & (red < -cfg.tol_pivot))
-            if candidates.size == 0:
+            for j in np.flatnonzero(enterable & (red < -cfg.tol_pivot)):
+                pos = np.flatnonzero(t[:nr, j] > _TOL_RATIO)
+                if pos.size:
+                    break
+                if not bounded:
+                    return UNBOUNDED
+            else:
                 return OPTIMAL
-            j = int(candidates[0])
             col = t[:nr, j]
-            pos = np.flatnonzero(col > _TOL_RATIO)
-            if pos.size == 0:
-                return UNBOUNDED
             ratios = t[pos, -1] / col[pos]
             best = ratios.min()
             ties = pos[ratios <= best + 1e-15]
             prow = int(min(ties, key=lambda r: basis[r]))
-            pivot(prow, j)
+            pivot(prow, int(j))
             t[:nr, -1] = np.maximum(t[:nr, -1], 0.0)
 
     # phase 1: minimize the artificial sum (reduced costs: 0 - sum of rows on
@@ -200,15 +174,13 @@ def solve_lp(lp: LinearProgram, config: Optional[LPConfig] = None) -> LPSolution
     t[-1, art_start : art_start + nr] = 0.0
     enterable = np.zeros(ncols - 1, dtype=bool)
     enterable[:art_start] = True
-    status = run_simplex(enterable)
-    if status != OPTIMAL:  # the artificial sum is bounded below by 0
-        raise ResourceError("phase-1 simplex lost boundedness to roundoff")
+    run_simplex(enterable, bounded=True)  # the artificial sum is bounded below by 0
     phase1_value = -t[-1, -1]
 
     if phase1_value > cfg.tol_feas:
         # phase-1 duals: artificial costs are 1, so reduced_cost(art_k) = 1 - y_k
         y = 1.0 - t[-1, art_start : art_start + nr]
-        farkas = (y * sign)[:n_user]
+        farkas = y * sign
         return LPSolution(
             status=INFEASIBLE,
             primal=None,
@@ -238,7 +210,7 @@ def solve_lp(lp: LinearProgram, config: Optional[LPConfig] = None) -> LPSolution
     cb = np.array([0.0 if deleted[k] else cost_full[basis[k]] for k in range(nr)])
     t[-1, :-1] = cost_full - cb @ t[:nr, :-1]
     t[-1, -1] = -float(cb @ t[:nr, -1])
-    status = run_simplex(enterable)
+    status = run_simplex(enterable, bounded=False)
 
     if status == UNBOUNDED:
         return LPSolution(
@@ -255,16 +227,15 @@ def solve_lp(lp: LinearProgram, config: Optional[LPConfig] = None) -> LPSolution
     for k in range(nr):
         if not deleted[k] and basis[k] < nx:
             z[basis[k]] = t[k, -1]
-    value_int = -t[-1, -1] + const_term
+    value_int = 0.0 - t[-1, -1]  # not -t[-1, -1], which turns an optimum of 0 into -0.0
     # phase-2 duals: artificial costs are 0, so reduced_cost(art_k) = -y_k
     y_int = -t[-1, art_start : art_start + nr].copy()
     y_int[deleted] = 0.0
-    y_oriented = y_int * sign
-    dual_obj_int = float(y_int @ b) + const_term
+    dual_obj_int = float(y_int @ b)
     return LPSolution(
         status=OPTIMAL,
-        primal=z + lower,
-        dual=sense_sign * y_oriented[:n_user],
+        primal=z,
+        dual=sense_sign * y_int * sign,
         objective_value=sense_sign * value_int,
         dual_objective_value=sense_sign * dual_obj_int,
         farkas=None,

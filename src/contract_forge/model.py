@@ -6,6 +6,12 @@ is the random set of realized items, so outcome probabilities are products over
 items. An ExplicitSetting enumerates K outcomes directly (costs, one reward per
 outcome, and an n-by-K distribution matrix).
 
+This module alone knows how a setting is stored: every field is a read-only
+float64 array (validated once, finite, compared by value), and evaluation is
+vectorized over actions. expected_rewards, expected_payments and
+outcome_probabilities return one entry per action; the single-action
+functions read from those vectors.
+
 Outcomes are item subsets encoded as int bitmasks (item j <-> bit 1 << j). On
 an ExplicitSetting, bitmask b addresses column b of the distribution matrix,
 which matches the bit-set column order emitted by product_to_explicit.
@@ -24,8 +30,8 @@ from __future__ import annotations
 import json
 import math
 import warnings
-from dataclasses import dataclass, field
-from typing import Iterable, Sequence, Union
+from dataclasses import dataclass, field, fields
+from typing import Iterable, Union
 
 import numpy as np
 
@@ -61,39 +67,62 @@ def normalize_notion(notion: str) -> str:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class ProductSetting:
+def read_only_array(values, ndim: int, name: str) -> np.ndarray:
+    """A read-only float64 copy of `values` with `ndim` dimensions and finite entries."""
+    try:
+        arr = np.array(values, dtype=float)
+    except (TypeError, ValueError):
+        raise InputError(f"{name} must be a {ndim}-dimensional array of numbers")
+    if arr.ndim != ndim:
+        raise InputError(f"{name} must be a {ndim}-dimensional array of numbers")
+    if not np.isfinite(arr).all():
+        raise InputError(f"{name} holds a non-finite value")
+    arr.flags.writeable = False
+    return arr
+
+
+class ArrayFields:
+    """Value equality for dataclasses whose fields are arrays; unhashable."""
+
+    def __eq__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        return all(np.array_equal(getattr(self, f.name), getattr(other, f.name)) for f in fields(self))
+
+    __hash__ = None
+
+
+@dataclass(frozen=True, eq=False)
+class ProductSetting(ArrayFields):
     """Succinct setting: costs per action, rewards per item, probs[i][j]."""
 
-    costs: tuple
-    rewards: tuple
-    probs: tuple  # n rows of m item probabilities
+    costs: np.ndarray
+    rewards: np.ndarray
+    probs: np.ndarray  # n-by-m item probabilities
 
     def __post_init__(self):
-        costs = tuple(float(c) for c in self.costs)
-        rewards = tuple(float(r) for r in self.rewards)
-        probs = tuple(tuple(float(p) for p in row) for row in self.probs)
+        costs = read_only_array(self.costs, 1, "costs")
+        rewards = read_only_array(self.rewards, 1, "rewards")
+        probs = read_only_array(self.probs, 2, "probs")
         object.__setattr__(self, "costs", costs)
         object.__setattr__(self, "rewards", rewards)
         object.__setattr__(self, "probs", probs)
-        if len(costs) < 1 or len(rewards) < 1:
+        if costs.size < 1 or rewards.size < 1:
             raise InputError("need at least one action and one item")
-        if len(probs) != len(costs):
-            raise InputError("probs must have one row per action")
-        if any(len(row) != len(rewards) for row in probs):
-            raise InputError("every probs row must have one entry per item")
-        for row in probs:
-            for p in row:
-                if not (-TOL_VALID <= p <= 1.0 + TOL_VALID):
-                    raise InputError(f"item probability {p} outside [0, 1]")
-        if any(c < -TOL_VALID for c in costs):
+        if probs.shape != (costs.size, rewards.size):
+            raise InputError("probs must have one row per action and one entry per item")
+        outside = probs[(probs < -TOL_VALID) | (probs > 1.0 + TOL_VALID)]
+        if outside.size:
+            raise InputError(f"item probability {outside[0]} outside [0, 1]")
+        if (costs < -TOL_VALID).any():
             raise InputError("costs must be nonnegative")
-        if any(r < -TOL_VALID for r in rewards):
+        if (rewards < -TOL_VALID).any():
             raise InputError("rewards must be nonnegative")
-        for i in range(len(costs)):
-            welfare = sum(q * r for q, r in zip(probs[i], rewards)) - costs[i]
-            if welfare < -1e-7:
-                raise InputError(f"action {i} has negative expected welfare {welfare}")
+        welfare = probs @ rewards - costs
+        losing = np.flatnonzero(welfare < -1e-7)
+        if losing.size:
+            i = losing[0]
+            raise InputError(f"action {i} has negative expected welfare {welfare[i]}")
 
     @property
     def n(self) -> int:
@@ -104,35 +133,34 @@ class ProductSetting:
         return len(self.rewards)
 
 
-@dataclass(frozen=True)
-class ExplicitSetting:
+@dataclass(frozen=True, eq=False)
+class ExplicitSetting(ArrayFields):
     """Enumerated setting: costs, reward per outcome column, n-by-K dist."""
 
-    costs: tuple
-    outcome_rewards: tuple
-    dist: tuple  # n rows of K outcome probabilities
+    costs: np.ndarray
+    outcome_rewards: np.ndarray
+    dist: np.ndarray  # n-by-K outcome probabilities
 
     def __post_init__(self):
-        costs = tuple(float(c) for c in self.costs)
-        rewards = tuple(float(r) for r in self.outcome_rewards)
-        dist = tuple(tuple(float(p) for p in row) for row in self.dist)
+        costs = read_only_array(self.costs, 1, "costs")
+        rewards = read_only_array(self.outcome_rewards, 1, "outcome_rewards")
+        dist = read_only_array(self.dist, 2, "dist")
         object.__setattr__(self, "costs", costs)
         object.__setattr__(self, "outcome_rewards", rewards)
         object.__setattr__(self, "dist", dist)
-        if len(costs) < 1:
+        if costs.size < 1:
             raise InputError("need at least one action")
-        if len(rewards) < 1:
+        if rewards.size < 1:
             raise InputError("need at least one outcome")
-        if len(dist) != len(costs):
-            raise InputError("dist must have one row per action")
-        if any(len(row) != len(rewards) for row in dist):
-            raise InputError("every dist row must have one entry per outcome")
-        for i, row in enumerate(dist):
-            if any(p < -TOL_VALID for p in row):
-                raise InputError(f"dist row {i} has a negative entry")
-            s = sum(row)
-            if abs(s - 1.0) > TOL_VALID:
-                raise InputError(f"dist row {i} sums to {s}, expected 1")
+        if dist.shape != (costs.size, rewards.size):
+            raise InputError("dist must have one row per action and one entry per outcome")
+        negative = np.flatnonzero((dist < -TOL_VALID).any(axis=1))
+        if negative.size:
+            raise InputError(f"dist row {negative[0]} has a negative entry")
+        sums = dist.sum(axis=1)
+        off = np.flatnonzero(np.abs(sums - 1.0) > TOL_VALID)
+        if off.size:
+            raise InputError(f"dist row {off[0]} sums to {sums[off[0]]}, expected 1")
 
     @property
     def n(self) -> int:
@@ -148,7 +176,7 @@ Setting = Union[ProductSetting, ExplicitSetting]
 
 def is_normalized(setting: Setting, tol: float = TOL_VALID) -> bool:
     """True when every action's expected reward is at most 1 (plus tol)."""
-    return max(expected_reward(setting, i) for i in range(setting.n)) <= 1.0 + tol
+    return bool(expected_rewards(setting).max() <= 1.0 + tol)
 
 
 # ---------------------------------------------------------------------------
@@ -164,11 +192,15 @@ class Sparse:
     payments: dict = field(default_factory=dict)
 
     def __post_init__(self):
+        if not math.isfinite(self.base):
+            raise InputError(f"base payment {self.base} is not finite")
         if self.base < -TOL_VALID:
             raise InputError("base payment must be nonnegative")
         cleaned = {}
         for outcome, pay in self.payments.items():
             pay = float(pay)
+            if not math.isfinite(pay):
+                raise InputError(f"payment for outcome {outcome} is not finite")
             if pay < -TOL_VALID:
                 raise InputError(f"payment for outcome {outcome} is negative")
             if pay > 0.0:
@@ -198,6 +230,8 @@ class Separable:
 
     def __post_init__(self):
         pays = tuple(float(p) for p in self.item_payments)
+        if not all(map(math.isfinite, pays)):
+            raise InputError("item payments must be finite")
         if any(p < -TOL_VALID for p in pays):
             raise InputError("item payments must be nonnegative")
         self.item_payments = pays
@@ -229,19 +263,24 @@ def make_sparse(base: float, payments: dict, drop_tol: float = 1e-12) -> Sparse:
 # ---------------------------------------------------------------------------
 
 
+def outcome_probabilities(setting: Setting, outcomes: Iterable[int]) -> np.ndarray:
+    """n-by-k matrix: the probability that each action produces each outcome."""
+    outcomes = [int(o) for o in outcomes]
+    if isinstance(setting, ExplicitSetting):
+        if outcomes and (min(outcomes) < 0 or max(outcomes) >= setting.num_outcomes):
+            raise InputError("outcome outside explicit outcome range")
+        return setting.dist[:, outcomes]
+    if outcomes and (min(outcomes) < 0 or max(outcomes) >> setting.m):
+        raise InputError(f"outcome bitmask outside the range of {setting.m} items")
+    bits = np.array([[(o >> j) & 1 for j in range(setting.m)] for o in outcomes], dtype=bool)
+    q = setting.probs[:, None, :]
+    return np.where(bits.reshape(len(outcomes), setting.m), q, 1.0 - q).prod(axis=2)
+
+
 def outcome_probability(setting: Setting, action: int, outcome: int) -> float:
     """Probability that `action` produces exactly the item set `outcome`."""
     _check_action(setting, action)
-    if isinstance(setting, ExplicitSetting):
-        if not (0 <= outcome < setting.num_outcomes):
-            raise InputError(f"outcome {outcome} outside explicit outcome range")
-        return setting.dist[action][outcome]
-    if outcome < 0 or outcome >= (1 << setting.m):
-        raise InputError(f"outcome bitmask {outcome} outside item range")
-    prob = 1.0
-    for j, q in enumerate(setting.probs[action]):
-        prob *= q if (outcome >> j) & 1 else 1.0 - q
-    return prob
+    return float(outcome_probabilities(setting, [outcome])[action, 0])
 
 
 def outcome_reward(setting: Setting, outcome: int) -> float:
@@ -249,58 +288,58 @@ def outcome_reward(setting: Setting, outcome: int) -> float:
     if isinstance(setting, ExplicitSetting):
         if not (0 <= outcome < setting.num_outcomes):
             raise InputError(f"outcome {outcome} outside explicit outcome range")
-        return setting.outcome_rewards[outcome]
-    return sum(r for j, r in enumerate(setting.rewards) if (outcome >> j) & 1)
+        return float(setting.outcome_rewards[outcome])
+    return float(sum(r for j, r in enumerate(setting.rewards) if (outcome >> j) & 1))
+
+
+def expected_rewards(setting: Setting) -> np.ndarray:
+    """Expected reward of every action."""
+    if isinstance(setting, ExplicitSetting):
+        return setting.dist @ setting.outcome_rewards
+    return setting.probs @ setting.rewards
 
 
 def expected_reward(setting: Setting, action: int) -> float:
     _check_action(setting, action)
-    if isinstance(setting, ExplicitSetting):
-        return float(np.dot(setting.dist[action], setting.outcome_rewards))
-    return float(np.dot(setting.probs[action], setting.rewards))
+    return float(expected_rewards(setting)[action])
 
 
-def _item_marginals(setting: ExplicitSetting) -> np.ndarray:
-    """Per-action item marginals of an explicit setting, via column bitmasks."""
+def _item_marginals(setting: Setting) -> np.ndarray:
+    """n-by-m item probabilities; an explicit setting's come from its column bitmasks."""
+    if isinstance(setting, ProductSetting):
+        return setting.probs
     k = setting.num_outcomes
-    m = max(1, (k - 1).bit_length())
-    dist = np.asarray(setting.dist)
-    marg = np.zeros((setting.n, m))
     cols = np.arange(k)
-    for j in range(m):
-        sel = (cols >> j) & 1 == 1
-        marg[:, j] = dist[:, sel].sum(axis=1)
-    return marg
+    return np.column_stack(
+        [setting.dist[:, (cols >> j) & 1 == 1].sum(axis=1) for j in range(max(1, (k - 1).bit_length()))]
+    )
+
+
+def expected_payments(setting: Setting, contract: Contract) -> np.ndarray:
+    """Expected transfer to the agent under `contract`, for every action."""
+    if isinstance(contract, Sparse):
+        pays = np.array(list(contract.payments.values()))
+        return contract.base + outcome_probabilities(setting, contract.payments) @ pays
+    if isinstance(contract, Linear):
+        return contract.alpha * expected_rewards(setting)
+    if isinstance(contract, Mixed):
+        return expected_payments(setting, contract.sparse) + contract.alpha * expected_rewards(setting)
+    if isinstance(contract, Separable):
+        marg = _item_marginals(setting)
+        if len(contract.item_payments) != marg.shape[1]:
+            raise InputError("separable contract length does not match item count")
+        return marg @ np.array(contract.item_payments)
+    raise InputError(f"unknown contract type {type(contract).__name__}")
 
 
 def expected_payment(setting: Setting, action: int, contract: Contract) -> float:
     """Expected transfer to the agent for taking `action` under `contract`."""
     _check_action(setting, action)
-    if isinstance(contract, Sparse):
-        total = contract.base
-        for outcome, pay in contract.payments.items():
-            total += outcome_probability(setting, action, outcome) * pay
-        return total
-    if isinstance(contract, Linear):
-        return contract.alpha * expected_reward(setting, action)
-    if isinstance(contract, Mixed):
-        return expected_payment(setting, action, contract.sparse) + contract.alpha * expected_reward(setting, action)
-    if isinstance(contract, Separable):
-        if isinstance(setting, ProductSetting):
-            if len(contract.item_payments) != setting.m:
-                raise InputError("separable contract length does not match item count")
-            return float(np.dot(setting.probs[action], contract.item_payments))
-        marg = _item_marginals(setting)
-        if len(contract.item_payments) > marg.shape[1]:
-            raise InputError("separable contract length does not match item count")
-        pays = np.zeros(marg.shape[1])
-        pays[: len(contract.item_payments)] = contract.item_payments
-        return float(np.dot(marg[action], pays))
-    raise InputError(f"unknown contract type {type(contract).__name__}")
+    return float(expected_payments(setting, contract)[action])
 
 
 def agent_utility(setting: Setting, action: int, contract: Contract) -> float:
-    return expected_payment(setting, action, contract) - setting.costs[action]
+    return expected_payment(setting, action, contract) - float(setting.costs[action])
 
 
 def principal_payoff(setting: Setting, action: int, contract: Contract) -> float:
@@ -316,15 +355,13 @@ class AgentChoice:
 
 def best_response(setting: Setting, contract: Contract, tol_tie: float = TOL_TIE) -> AgentChoice:
     """Agent's chosen action: max utility, ties to max principal payoff, then lowest index."""
-    utils = [agent_utility(setting, i, contract) for i in range(setting.n)]
-    best_u = max(utils)
-    candidates = [i for i, u in enumerate(utils) if u >= best_u - tol_tie]
-    payoffs = [principal_payoff(setting, i, contract) for i in candidates]
-    best_p = max(payoffs)
-    for i, p in zip(candidates, payoffs):
-        if p >= best_p - tol_tie:
-            return AgentChoice(action=i, utility=utils[i], payoff=p)
-    raise AssertionError("unreachable")
+    pays = expected_payments(setting, contract)
+    utils = pays - setting.costs
+    payoffs = expected_rewards(setting) - pays
+    candidates = utils >= utils.max() - tol_tie
+    best_p = payoffs[candidates].max()
+    action = int(np.flatnonzero(candidates & (payoffs >= best_p - tol_tie))[0])
+    return AgentChoice(action=action, utility=float(utils[action]), payoff=float(payoffs[action]))
 
 
 def ic_slack(
@@ -343,19 +380,15 @@ def ic_slack(
     if delta < 0:
         raise InputError("delta must be nonnegative")
     _check_action(setting, action)
-    p_i = expected_payment(setting, action, contract)
+    pays = expected_payments(setting, contract)
+    p_i = pays[action]
     c_i = setting.costs[action]
     if notion == ADDITIVE:
         lhs = p_i - c_i + delta
     else:
         lhs = (1.0 + delta) * p_i - c_i
-    slack = math.inf
-    for other in range(setting.n):
-        if other == action:
-            continue
-        u_other = expected_payment(setting, other, contract) - setting.costs[other]
-        slack = min(slack, lhs - u_other)
-    return slack
+    rivals = np.delete(pays - setting.costs, action)
+    return float(lhs - rivals.max()) if rivals.size else math.inf
 
 
 def verify_delta_ic(
@@ -388,6 +421,15 @@ def _check_action(setting: Setting, action: int) -> None:
 M_MAX_ENUMERATE = 20
 
 
+def all_subset_probabilities(probs: np.ndarray) -> np.ndarray:
+    """(d, m) per-item probabilities -> (d, 2^m) subset probabilities in bitmask column order."""
+    out = np.ones((probs.shape[0], 1))
+    for j in range(probs.shape[1]):
+        q = probs[:, j : j + 1]
+        out = np.hstack([out * (1.0 - q), out * q])
+    return out
+
+
 def product_to_explicit(setting: ProductSetting, m_max: int = M_MAX_ENUMERATE) -> ExplicitSetting:
     """Enumerate all 2^m outcomes of a product setting in bit-set column order."""
     if not isinstance(setting, ProductSetting):
@@ -395,21 +437,12 @@ def product_to_explicit(setting: ProductSetting, m_max: int = M_MAX_ENUMERATE) -
     m = setting.m
     if m > m_max:
         raise CapacityError(f"m={m} items would enumerate 2^{m} outcomes (cap {m_max})")
-    dist = np.empty((setting.n, 1 << m))
-    for i in range(setting.n):
-        v = np.ones(1)
-        for j in range(m):
-            q = setting.probs[i][j]
-            v = np.concatenate([v * (1.0 - q), v * q])
-        dist[i] = v
     masks = np.arange(1 << m)
     rewards = np.zeros(1 << m)
     for j in range(m):
         rewards[(masks >> j) & 1 == 1] += setting.rewards[j]
     return ExplicitSetting(
-        costs=setting.costs,
-        outcome_rewards=tuple(rewards.tolist()),
-        dist=tuple(tuple(row.tolist()) for row in dist),
+        costs=setting.costs, outcome_rewards=rewards, dist=all_subset_probabilities(setting.probs)
     )
 
 
@@ -421,8 +454,7 @@ def as_explicit(setting: Setting, m_max: int = M_MAX_ENUMERATE) -> ExplicitSetti
 
 def min_nonzero_outcome_probability(setting: Setting, m_max: int = M_MAX_ENUMERATE) -> float:
     """Smallest nonzero outcome probability across all actions."""
-    explicit = as_explicit(setting, m_max=m_max)
-    dist = np.asarray(explicit.dist)
+    dist = as_explicit(setting, m_max=m_max).dist
     nz = dist[dist > 0.0]
     if nz.size == 0:
         raise InputError("setting has no positive-probability outcome")
@@ -452,15 +484,15 @@ def setting_to_dict(setting: Setting) -> dict:
     if isinstance(setting, ProductSetting):
         return {
             "kind": "product",
-            "costs": list(setting.costs),
-            "rewards": list(setting.rewards),
-            "probs": [list(row) for row in setting.probs],
+            "costs": setting.costs.tolist(),
+            "rewards": setting.rewards.tolist(),
+            "probs": setting.probs.tolist(),
         }
     return {
         "kind": "explicit",
-        "costs": list(setting.costs),
-        "outcome_rewards": list(setting.outcome_rewards),
-        "dist": [list(row) for row in setting.dist],
+        "costs": setting.costs.tolist(),
+        "outcome_rewards": setting.outcome_rewards.tolist(),
+        "dist": setting.dist.tolist(),
     }
 
 
@@ -471,9 +503,7 @@ def setting_from_dict(data: dict, allow_no_free_action: bool = False) -> Setting
     try:
         if kind == "product":
             setting = ProductSetting(
-                costs=tuple(data["costs"]),
-                rewards=tuple(data["rewards"]),
-                probs=tuple(tuple(row) for row in data["probs"]),
+                costs=data["costs"], rewards=data["rewards"], probs=data["probs"]
             )
             if not allow_no_free_action and abs(setting.costs[0]) > 1e-12:
                 raise InputError(
@@ -482,9 +512,7 @@ def setting_from_dict(data: dict, allow_no_free_action: bool = False) -> Setting
             return setting
         if kind == "explicit":
             return ExplicitSetting(
-                costs=tuple(data["costs"]),
-                outcome_rewards=tuple(data["outcome_rewards"]),
-                dist=tuple(tuple(row) for row in data["dist"]),
+                costs=data["costs"], outcome_rewards=data["outcome_rewards"], dist=data["dist"]
             )
     except KeyError as exc:
         raise InputError(f"setting JSON missing field {exc}")
@@ -546,11 +574,20 @@ def dumps(obj: Union[Setting, Contract]) -> str:
     return json.dumps(contract_to_dict(obj))
 
 
+def _reject_constant(name: str):
+    raise InputError(f"JSON input holds {name}, which is not a finite number")
+
+
+def load_json(fh) -> object:
+    """Parse JSON from a file object, rejecting the NaN and Infinity literals."""
+    return json.load(fh, parse_constant=_reject_constant)
+
+
 def load_setting(path: str, allow_no_free_action: bool = False) -> Setting:
     with open(path) as fh:
-        return setting_from_dict(json.load(fh), allow_no_free_action=allow_no_free_action)
+        return setting_from_dict(load_json(fh), allow_no_free_action=allow_no_free_action)
 
 
 def load_contract(path: str) -> Contract:
     with open(path) as fh:
-        return contract_from_dict(json.load(fh))
+        return contract_from_dict(load_json(fh))

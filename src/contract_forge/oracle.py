@@ -14,42 +14,43 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import List, Sequence, Tuple
+from typing import List, Tuple
 
 import numpy as np
 
 from .errors import InputError
+from .model import ArrayFields, all_subset_probabilities, read_only_array
 
 # int64 sentinel marking an exactly-zero marginal (its own bucket class)
 _ZERO_BUCKET = np.iinfo(np.int64).min
 
 
-@dataclass(frozen=True)
-class SeparationInstance:
-    weights: tuple  # one nonnegative weight per mixture, summing to 1
-    mixtures: tuple  # rows of per-item probabilities
-    reference: tuple  # per-item probabilities of the reference action
+@dataclass(frozen=True, eq=False)
+class SeparationInstance(ArrayFields):
+    weights: np.ndarray  # one nonnegative weight per mixture, summing to 1
+    mixtures: np.ndarray  # rows of per-item probabilities
+    reference: np.ndarray  # per-item probabilities of the reference action
 
     def __post_init__(self):
-        weights = tuple(float(w) for w in self.weights)
-        mixtures = tuple(tuple(float(p) for p in row) for row in self.mixtures)
-        reference = tuple(float(p) for p in self.reference)
+        weights = read_only_array(self.weights, 1, "weights")
+        mixtures = read_only_array(self.mixtures, 2, "mixtures")
+        reference = read_only_array(self.reference, 1, "reference")
         object.__setattr__(self, "weights", weights)
         object.__setattr__(self, "mixtures", mixtures)
         object.__setattr__(self, "reference", reference)
-        if not weights or len(weights) != len(mixtures):
+        if not weights.size or len(weights) != len(mixtures):
             raise InputError("need one weight per mixture distribution")
-        if any(w < -1e-12 for w in weights):
+        if (weights < -1e-12).any():
             raise InputError("weights must be nonnegative")
-        if abs(sum(weights) - 1.0) > 1e-6:
-            raise InputError(f"weights sum to {sum(weights)}, expected 1")
+        if abs(weights.sum() - 1.0) > 1e-6:
+            raise InputError(f"weights sum to {weights.sum()}, expected 1")
         m = len(reference)
-        if m == 0 or any(len(row) != m for row in mixtures):
+        if m == 0 or mixtures.shape[1] != m:
             raise InputError("mixtures and reference must share the item count")
-        for row in mixtures + (reference,):
-            for p in row:
-                if not (0.0 <= p <= 1.0):
-                    raise InputError(f"probability {p} outside [0, 1]")
+        rows = np.vstack([mixtures, reference])
+        outside = rows[(rows < 0.0) | (rows > 1.0)]
+        if outside.size:
+            raise InputError(f"probability {outside[0]} outside [0, 1]")
 
     @property
     def m(self) -> int:
@@ -73,24 +74,13 @@ class FptasStats:
     family_budget: int
 
 
-def _all_subset_probs(rows: np.ndarray) -> np.ndarray:
-    """(d, m) per-item probs -> (d, 2^m) subset probs in bitmask column order."""
-    d, m = rows.shape
-    out = np.ones((d, 1))
-    for j in range(m):
-        q = rows[:, j : j + 1]
-        out = np.hstack([out * (1.0 - q), out * q])
-    return out
-
-
 def min_ratio_bruteforce(inst: SeparationInstance) -> OracleResult:
     """Exact minimizer over all 2^m subsets; ties go to the lowest bitmask."""
     if inst.m > 20:
         raise InputError(f"m={inst.m} too large to enumerate (cap 20)")
-    rows = np.vstack([np.asarray(inst.mixtures), np.asarray(inst.reference)])
-    probs = _all_subset_probs(rows)
+    probs = all_subset_probabilities(np.vstack([inst.mixtures, inst.reference]))
     ref = probs[-1]
-    num = np.asarray(inst.weights) @ probs[:-1]
+    num = inst.weights @ probs[:-1]
     valid = ref > 0.0
     if not valid.any():
         raise InputError("reference distribution assigns zero to every outcome")
@@ -107,7 +97,7 @@ def bucket_count_bound(inst: SeparationInstance, eps: float) -> Tuple[int, int]:
     absorb the anchor at 1 and the zero sentinel.
     """
     _check_eps(eps)
-    rows = np.vstack([np.asarray(inst.mixtures), np.asarray(inst.reference)])
+    rows = np.vstack([inst.mixtures, inst.reference])
     factors = np.concatenate([rows.ravel(), 1.0 - rows.ravel()])
     nz = factors[factors > 0.0]
     q_min = float(nz.min()) if nz.size else 1.0
@@ -130,7 +120,7 @@ def min_ratio_fptas_stats(inst: SeparationInstance, eps: float) -> Tuple[OracleR
     """Bucketing dynamic program; returned ratio is within (1+eps) of optimal."""
     _check_eps(eps)
     m = inst.m
-    rows = np.vstack([np.asarray(inst.mixtures), np.asarray(inst.reference)])
+    rows = np.vstack([inst.mixtures, inst.reference])
     d = rows.shape[0]
     log_bucket = math.log((1.0 + eps)) / (2.0 * m)  # ln of the bucket factor
 
@@ -155,7 +145,7 @@ def min_ratio_fptas_stats(inst: SeparationInstance, eps: float) -> Tuple[OracleR
     valid = ref > 0.0
     if not valid.any():
         raise InputError("reference distribution assigns zero to every outcome")
-    num = probs[:, :-1] @ np.asarray(inst.weights)
+    num = probs[:, :-1] @ inst.weights
     ratios = num[valid] / ref[valid]
     cand_masks = masks[valid]
     best_ratio = ratios.min()
@@ -170,9 +160,9 @@ def min_ratio_fptas_stats(inst: SeparationInstance, eps: float) -> Tuple[OracleR
 def separation_to_dict(inst: SeparationInstance) -> dict:
     return {
         "kind": "separation",
-        "weights": list(inst.weights),
-        "mixtures": [list(row) for row in inst.mixtures],
-        "reference": list(inst.reference),
+        "weights": inst.weights.tolist(),
+        "mixtures": inst.mixtures.tolist(),
+        "reference": inst.reference.tolist(),
     }
 
 
@@ -181,9 +171,7 @@ def separation_from_dict(data: dict) -> SeparationInstance:
         raise InputError("separation JSON must be an object with kind 'separation'")
     try:
         return SeparationInstance(
-            weights=tuple(data["weights"]),
-            mixtures=tuple(tuple(row) for row in data["mixtures"]),
-            reference=tuple(data["reference"]),
+            weights=data["weights"], mixtures=data["mixtures"], reference=data["reference"]
         )
     except KeyError as exc:
         raise InputError(f"separation JSON missing field {exc}")

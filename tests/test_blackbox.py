@@ -69,7 +69,7 @@ def test_point_mass_estimation_is_exact():
     )
     emp = estimate(QueryOracle(hidden, seed=4), s=7)
     assert emp.outcomes == (0, 1)
-    assert emp.setting.dist == ((1.0, 0.0), (0.0, 1.0))
+    assert emp.setting.dist.tolist() == [[1.0, 0.0], [0.0, 1.0]]
     res = blackbox_contract(QueryOracle(hidden, seed=4), eps=0.1, gamma=0.5)
     assert res.payoff_on_true >= res.opt_on_true - 1e-9
 

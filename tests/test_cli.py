@@ -294,3 +294,46 @@ def test_version_flag(capsys):
     code, out, _ = run(capsys, ["--version"])
     assert code == 0
     assert "contract-forge" in out
+
+
+_PRODUCT = '{"kind": "product", "costs": [0.0, 0.1], "rewards": [1.0], "probs": [[0.1], [0.9]]}'
+
+
+@pytest.mark.parametrize(
+    "instance,contract",
+    [
+        ('{"kind": "product", "costs": [0.0, NaN], "rewards": [1.0], "probs": [[0.1], [0.9]]}', None),
+        ('{"kind": "product", "costs": [0.0], "rewards": [Infinity], "probs": [[0.5]]}', None),
+        ('{"kind": "product", "costs": [0.0], "rewards": [1e999], "probs": [[0.5]]}', None),
+        ('{"kind": "explicit", "costs": [0.0], "outcome_rewards": [0.0, 1.0], "dist": [[NaN, 1.0]]}', None),
+        (_PRODUCT, '{"kind": "sparse", "base": NaN, "payments": []}'),
+        (_PRODUCT, '{"kind": "sparse", "base": 1e999, "payments": []}'),
+        (_PRODUCT, '{"kind": "sparse", "base": 0.0, "payments": [{"outcome": [0], "pay": NaN}]}'),
+        (_PRODUCT, '{"kind": "separable", "item_payments": [1e999]}'),
+    ],
+    ids=["nan-cost", "inf-reward", "overflow-reward", "nan-dist", "nan-base", "overflow-base",
+         "nan-sparse-pay", "overflow-separable-pay"],
+)
+def test_non_finite_input_exits_2(tmp_path, capsys, instance, contract):
+    inst = tmp_path / "inst.json"
+    inst.write_text(instance)
+    con = tmp_path / "con.json"
+    con.write_text(contract or '{"kind": "sparse", "base": 0.0, "payments": []}')
+    code, out, err = run(capsys, ["verify", "--instance", str(inst), "--contract", str(con), "--action", "0"])
+    assert code == 2 and out == ""
+    assert "Traceback" not in err
+
+
+def test_verify_single_action_prints_valid_json(tmp_path, capsys):
+    inst = tmp_path / "inst.json"
+    inst.write_text('{"kind": "product", "costs": [0.0], "rewards": [1.0], "probs": [[0.5]]}')
+    con = tmp_path / "con.json"
+    con.write_text('{"kind": "sparse", "base": 0.0, "payments": []}')
+    code, out, _ = run(capsys, ["verify", "--instance", str(inst), "--contract", str(con), "--action", "0"])
+    assert code == 0
+
+    def reject(name):
+        raise AssertionError(f"output holds {name}")
+
+    result = json.loads(out, parse_constant=reject)["result"]
+    assert result["slack"] is None and result["ok"] is True

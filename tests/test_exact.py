@@ -167,3 +167,21 @@ def test_product_setting_routed_through_enumeration():
     b = opt_contract(product_to_explicit(s), delta=0.0)
     assert a.payoff == pytest.approx(b.payoff)
     assert a.action == b.action
+
+
+@pytest.mark.parametrize("k", [1e-9, 1e-6, 1e3, 1e6, 1e9])
+def test_min_payment_scale_invariant(k):
+    # the package's own unscaled answer is the reference: HiGHS itself is
+    # wrong on some of these settings at small scales
+    for seed in range(20):
+        base = g.gen_random(4, 6, seed)
+        scaled = ProductSetting(costs=k * base.costs, rewards=k * base.rewards, probs=base.probs)
+        for action in range(4):
+            want = min_payment(base, action).expected_payment
+            got = min_payment(scaled, action).expected_payment
+            if math.isinf(want):
+                assert math.isinf(got), f"seed {seed} action {action}"
+            else:
+                assert got == pytest.approx(k * want, rel=1e-6, abs=1e-12 * k), (
+                    f"seed {seed} action {action}"
+                )

@@ -18,9 +18,9 @@ from contract_forge import InputError, expected_reward, outcome_probability
 
 def test_gap_two_actions():
     s = g.gen_gap(2, 0.1)
-    assert s.probs == ((0.1,), (1.0,))
-    assert s.costs == (0.0, pytest.approx(8.1))
-    assert s.rewards == (10.0,)
+    assert s.probs.tolist() == [[0.1], [1.0]]
+    assert s.costs.tolist() == [0.0, pytest.approx(8.1)]
+    assert s.rewards.tolist() == [10.0]
 
 
 def test_gap_welfares():
@@ -92,9 +92,9 @@ def test_parse_dimacs_errors():
 def test_sat_literal_rule():
     f = g.CnfFormula(num_vars=3, clauses=((1, -2, 3),))
     s = g.gen_sat(f)
-    assert s.probs == ((0.0, 1.0, 0.0),)
-    assert s.costs == (0.0,)
-    assert s.rewards == (0.0, 0.0, 0.0)
+    assert s.probs.tolist() == [[0.0, 1.0, 0.0]]
+    assert s.costs.tolist() == [0.0]
+    assert s.rewards.tolist() == [0.0, 0.0, 0.0]
 
 
 def _assignment_mask_satisfies(mask, clause):
@@ -142,11 +142,11 @@ def test_product2_layout(small_formula):
     assert (s.n, s.m) == (n + 1, mm + 1)
     sat = g.gen_sat(small_formula)
     for i in range(n):
-        assert s.probs[i][:mm] == sat.probs[i]
+        assert s.probs[i][:mm].tolist() == sat.probs[i].tolist()
         assert s.probs[i][mm] == eps
         assert s.costs[i] == 0.0
-    assert s.probs[n] == (0.5,) * mm + (1.0,)
-    assert s.rewards == (0.0,) * mm + (10.0,)
+    assert s.probs[n].tolist() == [0.5] * mm + [1.0]
+    assert s.rewards.tolist() == [0.0] * mm + [10.0]
     assert s.costs[n] == pytest.approx(8.1)
 
 
@@ -180,7 +180,7 @@ def test_productc_layout(small_formula):
             i = block * n + row
             assert s.probs[i][mm] == pytest.approx(eps ** (c - 1 - block))
             assert s.costs[i] == pytest.approx(gap.costs[block])
-    assert s.probs[-1] == (0.5,) * mm + (1.0,)
+    assert s.probs[-1].tolist() == [0.5] * mm + [1.0]
     assert s.costs[-1] == pytest.approx(gap.costs[-1])
     fb = max(expected_reward(s, i) - s.costs[i] for i in range(s.n))
     assert fb == pytest.approx(c - (c - 1) * eps)
@@ -204,9 +204,7 @@ def test_minmax_example_values():
     assert gadget.effort_cost == pytest.approx(0.25)
     assert gadget.reward == pytest.approx(3.2)
     s = gadget.setting
-    assert s.probs[0] == (0.25, 0.25)
-    assert s.probs[1] == (0.75, 0.75)
-    assert s.probs[2] == (1.0, 0.5)
+    assert s.probs.tolist() == [[0.25, 0.25], [0.75, 0.75], [1.0, 0.5]]
 
 
 def test_minmax_set_probability_identity():
@@ -244,9 +242,9 @@ def test_minmax_target_payment():
 
 def test_delta_advantage_values():
     adv = g.gen_delta_advantage(0.3, 0.5)
-    assert adv.setting.costs == (0.0, pytest.approx(0.5))
-    assert adv.setting.rewards == (pytest.approx(0.4), pytest.approx(0.9))
-    assert adv.setting.probs[1] == (0.0, 1.0)
+    assert adv.setting.costs.tolist() == [0.0, pytest.approx(0.5)]
+    assert adv.setting.rewards.tolist() == [pytest.approx(0.4), pytest.approx(0.9)]
+    assert adv.setting.probs[1].tolist() == [0.0, 1.0]
     assert adv.ic_opt == pytest.approx(0.3)
     assert adv.relaxed_payoff == pytest.approx(0.4)
     assert adv.contract.payments == {0b10: pytest.approx(0.5)}

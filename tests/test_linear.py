@@ -6,11 +6,13 @@ from contract_forge.generators import gen_gap, gen_random, gen_separable_gap, se
 from contract_forge.linear import (
     Envelope,
     LinearApproxResult,
+    _cheapest_delta_ic_alpha,
     approx_linear_delta,
     optimal_linear,
     optimal_separable,
     upper_envelope,
 )
+from contract_forge.lpcore import INFEASIBLE, LESS, OPTIMAL, LinearProgram, solve_lp
 from contract_forge.model import (
     ADDITIVE,
     Linear,
@@ -18,6 +20,7 @@ from contract_forge.model import (
     Separable,
     best_response,
     expected_reward,
+    expected_rewards,
     verify_delta_ic,
 )
 from contract_forge.exact import first_best
@@ -219,3 +222,62 @@ def test_approx_validation():
     unnormalized = gen_separable_gap(0.5).setting
     with pytest.warns(UserWarning):
         approx_linear_delta(unnormalized, delta=0.1, gamma=0.5)
+
+
+def test_cheapest_delta_ic_alpha_matches_lp():
+    from scipy.optimize import linprog
+
+    for seed in range(10):
+        setting = gen_random(8, 4, seed=seed)
+        rewards, costs = expected_rewards(setting), setting.costs
+        for delta in (1e-3, 0.05, 0.3):
+            for a in range(setting.n):
+                rivals = [k for k in range(setting.n) if k != a]
+                # alpha (R_a - R_k) >= c_a - c_k - delta for every rival k
+                ref = linprog(
+                    [1.0],
+                    A_ub=[[rewards[k] - rewards[a]] for k in rivals],
+                    b_ub=[costs[k] - costs[a] + delta for k in rivals],
+                    bounds=[(0.0, 1.0)],
+                    method="highs",
+                )
+                got = _cheapest_delta_ic_alpha(rewards, costs, a, delta)
+                if ref.status == 2:
+                    assert got is None, f"seed {seed} delta {delta} action {a}"
+                else:
+                    assert got == pytest.approx(ref.x[0], abs=1e-9), f"seed {seed} delta {delta} action {a}"
+
+
+def test_cheapest_delta_ic_alpha_reward_tie():
+    # equal expected rewards: no share helps, so only the cost gap decides
+    setting = ProductSetting(costs=(0.0, 0.2), rewards=(1.0,), probs=((0.5,), (0.5,)))
+    rewards = expected_rewards(setting)
+    assert _cheapest_delta_ic_alpha(rewards, setting.costs, 1, 0.1) is None
+    assert _cheapest_delta_ic_alpha(rewards, setting.costs, 1, 0.3) == 0.0
+
+
+def test_separable_lps_survive_phase1_roundoff():
+    # phase 1 of action 49's LP meets a column with reduced cost -1.13e-9 and
+    # only negative entries: roundoff, since phase 1 is bounded below by 0
+    from scipy.optimize import linprog
+
+    setting = gen_random(60, 6, seed=477832360)
+    delta = 0.05
+    marg, costs = setting.probs, setting.costs
+    rewards = expected_rewards(setting)
+    best = -np.inf
+    for i in range(setting.n):
+        rivals = np.arange(setting.n) != i
+        rows, rhs = marg[rivals] - marg[i], costs[rivals] - costs[i] + delta
+        sol = solve_lp(
+            LinearProgram(objective=marg[i], rows=rows, relations=[LESS] * len(rows), rhs=rhs)
+        )
+        ref = linprog(marg[i], A_ub=rows, b_ub=rhs, bounds=[(0.0, None)] * setting.m, method="highs")
+        if ref.status == 2:
+            assert sol.status == INFEASIBLE, f"action {i}"
+            continue
+        assert sol.status == OPTIMAL, f"action {i}"
+        assert sol.objective_value == pytest.approx(ref.fun, rel=1e-6), f"action {i}"
+        best = max(best, rewards[i] - ref.fun)
+    _, _, payoff = optimal_separable(setting, delta)
+    assert payoff == pytest.approx(best, abs=1e-6)

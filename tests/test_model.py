@@ -26,6 +26,8 @@ from contract_forge import (
     verify_delta_ic,
 )
 from contract_forge.errors import CapacityError
+from contract_forge.generators import gen_random
+from contract_forge.oracle import SeparationInstance
 
 
 @pytest.fixture
@@ -95,7 +97,7 @@ def test_outcome_probabilities_sum_to_one(qs):
 
 def test_product_to_explicit_matches(two_action):
     explicit = product_to_explicit(two_action)
-    assert explicit.outcome_rewards == (0.0, 10.0)
+    assert explicit.outcome_rewards.tolist() == [0.0, 10.0]
     assert explicit.dist[0] == pytest.approx((0.9, 0.1))
     assert explicit.dist[1] == pytest.approx((0.0, 1.0))
     con = Sparse(base=0.1, payments={1: 3.0})
@@ -109,7 +111,7 @@ def test_product_to_explicit_column_order():
     setting = ProductSetting(costs=(0.0,), rewards=(1.0, 2.0, 4.0), probs=((0.2, 0.5, 0.9),))
     explicit = product_to_explicit(setting)
     # column b carries the rewards of the items in bitmask b
-    assert explicit.outcome_rewards == tuple(float(b & 1) + 2.0 * ((b >> 1) & 1) + 4.0 * ((b >> 2) & 1) for b in range(8))
+    assert explicit.outcome_rewards.tolist() == [float(b & 1) + 2.0 * ((b >> 1) & 1) + 4.0 * ((b >> 2) & 1) for b in range(8)]
     for b in range(8):
         assert explicit.dist[0][b] == pytest.approx(outcome_probability(setting, 0, b))
 
@@ -233,3 +235,81 @@ def test_agent_utility_explicit_matches_product(two_action):
     con = Sparse(payments={1: 9.0})
     for i in range(2):
         assert agent_utility(explicit, i, con) == pytest.approx(agent_utility(two_action, i, con))
+
+
+def test_fields_are_read_only_float_arrays(two_action):
+    explicit = product_to_explicit(two_action)
+    inst = SeparationInstance(weights=(1.0,), mixtures=((0.2, 0.4),), reference=(0.5, 0.5))
+    fields = (
+        two_action.costs, two_action.rewards, two_action.probs,
+        explicit.costs, explicit.outcome_rewards, explicit.dist,
+        inst.weights, inst.mixtures, inst.reference,
+    )
+    for arr in fields:
+        assert isinstance(arr, np.ndarray) and arr.dtype == np.float64
+        with pytest.raises(ValueError):
+            arr[0] = 0.5
+    # a setting copies its input, so the caller's array stays the caller's
+    costs = np.array([0.0, 8.1])
+    setting = ProductSetting(costs=costs, rewards=(10.0,), probs=((0.1,), (1.0,)))
+    costs[1] = 9.0
+    assert setting.costs[1] == 8.1 and costs.flags.writeable
+
+
+def test_vector_evaluation_matches_loops():
+    setting = gen_random(4, 5, seed=3)
+    probs, rewards = setting.probs.tolist(), setting.rewards.tolist()
+
+    def prob(i, outcome):
+        return math.prod(q if (outcome >> j) & 1 else 1.0 - q for j, q in enumerate(probs[i]))
+
+    outcomes = [0, 3, 17, 31]
+    table = m.outcome_probabilities(setting, outcomes)
+    assert table.shape == (4, len(outcomes))
+    con = Sparse(base=0.1, payments={3: 0.5, 17: 1.5})
+    pays = m.expected_payments(setting, con)
+    exp_rewards = m.expected_rewards(setting)
+    for i in range(4):
+        for k, outcome in enumerate(outcomes):
+            assert table[i, k] == pytest.approx(prob(i, outcome), rel=1e-12)
+        assert pays[i] == pytest.approx(0.1 + 0.5 * prob(i, 3) + 1.5 * prob(i, 17), rel=1e-12)
+        assert exp_rewards[i] == pytest.approx(sum(q * r for q, r in zip(probs[i], rewards)), rel=1e-12)
+    explicit = product_to_explicit(setting)
+    np.testing.assert_allclose(m.expected_payments(explicit, con), pays, rtol=1e-12)
+    np.testing.assert_allclose(m.outcome_probabilities(explicit, outcomes), table, rtol=1e-12)
+    for bad in ([32], [-1]):
+        with pytest.raises(InputError):
+            m.outcome_probabilities(setting, bad)
+        with pytest.raises(InputError):
+            m.outcome_probabilities(explicit, bad)
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: ProductSetting(costs=(0.0, math.nan), rewards=(1.0,), probs=((0.1,), (0.9,))),
+        lambda: ProductSetting(costs=(0.0,), rewards=(math.inf,), probs=((0.5,),)),
+        lambda: ExplicitSetting(costs=(0.0,), outcome_rewards=(0.0, 1.0), dist=((math.nan, 1.0),)),
+        lambda: Sparse(base=math.nan),
+        lambda: Sparse(payments={1: math.nan}),
+        lambda: Separable(item_payments=(0.1, math.nan)),
+        lambda: SeparationInstance(weights=(1.0,), mixtures=((math.nan,),), reference=(0.5,)),
+    ],
+    ids=["nan-cost", "inf-reward", "nan-dist", "nan-base", "nan-sparse-pay", "nan-separable-pay",
+         "nan-mixture"],
+)
+def test_non_finite_input_rejected(build):
+    with pytest.raises(InputError):
+        build()
+
+
+def test_json_non_finite_literals_rejected(tmp_path):
+    for name, text in (
+        ("setting.json", '{"kind": "product", "costs": [0.0], "rewards": [NaN], "probs": [[0.5]]}'),
+        ("contract.json", '{"kind": "linear", "alpha": Infinity}'),
+    ):
+        path = tmp_path / name
+        path.write_text(text)
+        load = m.load_setting if name == "setting.json" else m.load_contract
+        with pytest.raises(InputError):
+            load(str(path))
