@@ -41,6 +41,7 @@ from .oracle import (
     min_ratio_bruteforce,
     min_ratio_fptas,
     min_ratio_fptas_stats,
+    ratio_front,
 )
 from .transform import delta_to_ic, delta_to_ir
 from .blackbox import (

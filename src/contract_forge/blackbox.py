@@ -31,7 +31,6 @@ from .model import (
     ProductSetting,
     Setting,
     Sparse,
-    as_explicit,
     is_normalized,
     min_nonzero_outcome_probability,
     outcome_reward,
@@ -172,8 +171,9 @@ def blackbox_contract(oracle: QueryOracle, eps: float, gamma: float) -> BlackBox
 
     On the (1 +/- eps) estimation event the returned contract is 4eps-IC on
     the hidden setting and its payoff there is at least the optimal IC payoff
-    minus 5eps.  The benchmark is evaluated by enumerating the hidden outcome
-    space, so this is an experiment driver, not part of the query complexity.
+    minus 5eps.  The benchmark reads the hidden setting itself (its smallest
+    outcome probability and its exact optimum), so this is an experiment
+    driver, not part of the query complexity.
     """
     hidden = oracle.hidden
     if not 0.0 < eps <= 0.5:
@@ -187,7 +187,7 @@ def blackbox_contract(oracle: QueryOracle, eps: float, gamma: float) -> BlackBox
     empirical = estimate(oracle, s)
     solved = opt_contract(empirical.setting, delta=2.0 * eps, notion=ADDITIVE)
     contract = empirical.relabel(solved.contract)
-    opt_true = opt_contract(as_explicit(hidden)).payoff
+    opt_true = opt_contract(hidden).payoff
     return BlackBoxResult(
         contract=contract,
         claimed_delta=4.0 * eps,

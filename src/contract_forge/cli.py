@@ -426,7 +426,9 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument("--tol", type=float, default=None, help="tolerance override (where used)")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("solve", parents=[common], help="optimal contract by enumeration + LP")
+    p = sub.add_parser(
+        "solve", parents=[common], help="optimal contract: one LP per action over its ratio front"
+    )
     p.add_argument("--instance", help="instance JSON ('-' or omit for stdin)")
     p.add_argument("--delta", type=float, default=0.0)
     p.add_argument("--notion", default="mult", choices=["mult", "add", "multiplicative", "additive"])

@@ -1,8 +1,13 @@
 """Exact minimum-payment and optimal-contract solvers by direct LP.
 
-These enumerate the full outcome space (product settings are expanded, capped
-at 2^20 outcomes), so they serve as ground truth for the approximation
-modules rather than as the scalable path.
+The LP pays y_S = q_{a,S} x_S on outcomes S the target action a reaches, so
+each column holds the rivals' likelihood ratios q_{k,S} / q_{a,S} and costs
+1. A column whose ratios are all at least another's can be swapped for it at
+no cost, so a product setting needs only the Pareto front of its ratio
+vectors (oracle.ratio_front), not its 2^m outcomes; an explicit setting
+uses each of its outcomes with q_{a,S} > 0. A product setting whose front
+passes model.FRONT_CAP is enumerated instead if it has at most
+model.M_MAX_ENUMERATE items.
 """
 
 from __future__ import annotations
@@ -13,18 +18,22 @@ from typing import TYPE_CHECKING, List, Optional, Union
 
 import numpy as np
 
-from .errors import InputError
+from .errors import CapacityError, InputError
 from .lpcore import INFEASIBLE, LESS, OPTIMAL, LinearProgram, LPConfig, solve_lp
 from .model import (
+    M_MAX_ENUMERATE,
     MULTIPLICATIVE,
     TOL_TIE,
+    ProductSetting,
     Setting,
     Sparse,
-    as_explicit,
     expected_rewards,
     make_sparse,
     normalize_notion,
+    outcome_probabilities,
+    product_to_explicit,
 )
+from .oracle import ratio_front
 
 if TYPE_CHECKING:  # delta_solver imports this module
     from .delta_solver import DeltaSolveResult
@@ -59,28 +68,31 @@ def min_payment(
     """Cheapest contract under which `action` is a (delta-)best response.
 
     Minimizes the expected payment at `action` subject to one inequality per
-    deviating action; payments live on every outcome, so a basic optimum has
-    at most n-1 nonzero entries.
+    deviating action; a basic optimum pays on at most n-1 outcomes.
     """
     notion = normalize_notion(notion)
     if delta < 0:
         raise InputError("delta must be nonnegative")
-    explicit = as_explicit(setting)
-    if not (0 <= action < explicit.n):
-        raise InputError(f"action index {action} outside range [0, {explicit.n})")
-    q_i = explicit.dist[action]
-    rivals = np.arange(explicit.n) != action
-    bounds = explicit.costs[rivals] - explicit.costs[action]
+    if not (0 <= action < setting.n):
+        raise InputError(f"action index {action} outside range [0, {setting.n})")
+    rivals = np.arange(setting.n) != action
+    outcomes, ratios = _ratio_columns(setting, action, rivals)
+    if not np.isfinite(ratios).all():
+        raise CapacityError(f"a likelihood ratio against action {action} overflows float64")
+    bounds = setting.costs[rivals] - setting.costs[action]
     if notion == MULTIPLICATIVE:
-        rows = explicit.dist[rivals] - (1.0 + delta) * q_i
+        rows = ratios - (1.0 + delta)
     else:
-        rows = explicit.dist[rivals] - q_i
+        rows = ratios - 1.0
         bounds = bounds + delta
     # payments scale with the bounds; solving in units of the largest one
     # keeps the simplex tolerances independent of the unit of money
     scale = float(np.abs(bounds).max(initial=0.0)) or 1.0
     lp = LinearProgram(
-        objective=q_i, rows=rows, relations=[LESS] * len(rows), rhs=bounds / scale
+        objective=np.ones(len(outcomes)),
+        rows=rows,
+        relations=[LESS] * len(rows),
+        rhs=bounds / scale,
     )
     sol = solve_lp(lp, config)
     if sol.status == INFEASIBLE:
@@ -89,12 +101,34 @@ def min_payment(
         )
     if sol.status != OPTIMAL:
         raise InputError(f"unexpected LP status {sol.status} for a nonnegative objective")
+    paid = np.flatnonzero(sol.primal > 0.0)
+    q_paid = outcome_probabilities(setting, outcomes[paid])[action]
+    with np.errstate(divide="ignore", over="ignore"):
+        pay = sol.primal[paid] * scale / q_paid
+    if not (np.isfinite(pay) & (pay > 0.0)).all():
+        raise CapacityError(f"a payment for action {action} falls outside float64's range")
     return MinPaymentResult(
         action=action,
         expected_payment=float(sol.objective_value) * scale,
-        contract=make_sparse(0.0, dict(enumerate(sol.primal * scale))),
+        contract=make_sparse(0.0, dict(zip(outcomes[paid], pay))),
         status=IMPLEMENTABLE,
     )
+
+
+def _ratio_columns(setting: Setting, action: int, rivals: np.ndarray):
+    """(outcomes, rivals-by-outcomes likelihood ratios) the LP pays on."""
+    if isinstance(setting, ProductSetting):
+        try:
+            front = ratio_front(setting.probs[rivals], setting.probs[action])
+            return front.outcomes, front.ratios
+        except CapacityError:
+            if setting.m > M_MAX_ENUMERATE:
+                raise
+        setting = product_to_explicit(setting)
+    q = setting.dist[action]
+    outcomes = np.flatnonzero(q > 0.0)
+    with np.errstate(over="ignore"):
+        return outcomes, setting.dist[rivals][:, outcomes] / q[outcomes]
 
 
 def opt_contract(
@@ -104,12 +138,11 @@ def opt_contract(
     config: Optional[LPConfig] = None,
 ) -> OptContractResult:
     """Best payoff over all (delta-)implementable actions; ties to lowest index."""
-    explicit = as_explicit(setting)
     per_action = [
-        min_payment(explicit, i, delta=delta, notion=notion, config=config)
-        for i in range(explicit.n)
+        min_payment(setting, i, delta=delta, notion=notion, config=config)
+        for i in range(setting.n)
     ]
-    rewards = expected_rewards(explicit)
+    rewards = expected_rewards(setting)
     payoffs = [
         float(rewards[i]) - res.expected_payment if res.status == IMPLEMENTABLE else -math.inf
         for i, res in enumerate(per_action)

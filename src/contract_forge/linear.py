@@ -172,24 +172,30 @@ def optimal_separable(
     best = None
     for i in range(setting.n):
         rivals = np.arange(setting.n) != i
+        bounds = costs[rivals] - costs[i] + delta
+        # solved in units of the largest bound, as in exact.min_payment
+        scale = float(np.abs(bounds).max(initial=0.0)) or 1.0
         sol = solve_lp(
             LinearProgram(
                 objective=marg[i],
                 rows=marg[rivals] - marg[i],
                 relations=[LESS] * (setting.n - 1),
-                rhs=costs[rivals] - costs[i] + delta,
+                rhs=bounds / scale,
             )
         )
         if sol.status != OPTIMAL:
             continue
-        payoff = float(rewards[i] - sol.objective_value)
-        tol = _TOL_PAYOFF_TIE * max(1.0, abs(payoff), abs(best[2]) if best else 0.0)
-        if (
-            best is None
-            or payoff > best[2] + tol
-            or (payoff >= best[2] - tol and rewards[i] > rewards[best[1]])
-        ):
-            best = (tuple(float(p) for p in sol.primal), i, payoff)
+        payoff = float(rewards[i] - sol.objective_value * scale)
+        candidate = (tuple(float(p) for p in sol.primal * scale), i, payoff)
+        if best is None:
+            best = candidate
+            continue
+        _, j, best_payoff = best
+        # a payoff's rounding error scales with the reward and the payment it
+        # is the difference of, not with the payoff itself
+        tol = _TOL_PAYOFF_TIE * max(rewards[i], rewards[j], abs(payoff), abs(best_payoff))
+        if payoff > best_payoff + tol or (payoff >= best_payoff - tol and rewards[i] > rewards[j]):
+            best = candidate
     if best is None:
         raise InputError("no action admits a delta-IC separable contract")
     return best

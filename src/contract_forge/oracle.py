@@ -1,6 +1,11 @@
-"""Likelihood-ratio separation oracle: exact enumeration and a bucketing FPTAS.
+"""Likelihood ratios over item subsets: their Pareto front and the separation oracle.
 
-The problem: given nonnegative weights alpha over a set of "mixture" product
+ratio_front keeps the subsets whose vectors of likelihood ratios
+q_{l,S} / q_{ref,S} are Pareto-minimal, in one pass over items;
+exact.min_payment solves its LP over those subsets alone.
+
+The separation problem, solved by enumeration and by a bucketing FPTAS:
+given nonnegative weights alpha over a set of "mixture" product
 distributions and a reference product distribution, find the item subset S
 minimizing (sum_l alpha_l q_{l,S}) / q_{ref,S} over subsets with positive
 reference probability. Enumeration is exponential in the item count; the
@@ -18,8 +23,8 @@ from typing import List, Tuple
 
 import numpy as np
 
-from .errors import InputError
-from .model import ArrayFields, all_subset_probabilities, read_only_array
+from .errors import CapacityError, InputError
+from .model import FRONT_CAP, ArrayFields, all_subset_probabilities, read_only_array
 
 # int64 sentinel marking an exactly-zero marginal (its own bucket class)
 _ZERO_BUCKET = np.iinfo(np.int64).min
@@ -72,6 +77,79 @@ class FptasStats:
     family_counts: tuple  # representatives kept after each item
     bucket_parts: int  # the t in the t^(#distributions) family budget
     family_budget: int
+
+
+@dataclass(frozen=True)
+class RatioFront:
+    outcomes: np.ndarray  # item-subset bitmasks (Python ints), one per front point
+    ratios: np.ndarray  # (mixtures, points): q_{l,S} / q_{ref,S}
+
+
+# entries of one boolean block in the dominance pass
+_BLOCK = 1 << 20
+
+
+def ratio_front(mixtures, reference) -> RatioFront:
+    """Subsets S with q_ref,S > 0 whose likelihood-ratio vectors are Pareto-minimal.
+
+    r_S = (q_{l,S} / q_{ref,S})_l over the mixture rows l. A dominated
+    partial stays dominated under any extension by the remaining items
+    (ratios multiply), so one pass over items that drops dominated partials
+    is exact. Items the reference never or always realizes are forced out or
+    in. Of equal vectors the lowest bitmask is kept, except that a zero
+    ratio can make a vector equal to one dropped before. More than
+    model.FRONT_CAP points raise CapacityError.
+    """
+    mixtures = read_only_array(mixtures, 2, "mixtures")
+    reference = read_only_array(reference, 1, "reference")
+    if mixtures.shape[1] != reference.size:
+        raise InputError("mixtures and reference must share the item count")
+    mix, ref = np.clip(mixtures, 0.0, 1.0), np.clip(reference, 0.0, 1.0)
+    with np.errstate(divide="ignore", invalid="ignore"):  # zero ratios are -inf
+        log_in = np.log(mix) - np.log(ref)
+        log_out = np.log1p(-mix) - np.log1p(-ref)
+    masks = np.zeros(1, dtype=object)
+    logs = np.zeros((1, len(mix)))
+    for j, p in enumerate(ref):
+        # the front stays in ascending bitmask order: partials without item j first
+        grown = [(logs + log_out[:, j], masks)] if p < 1.0 else []
+        if p > 0.0:
+            grown.append((logs + log_in[:, j], masks | (1 << j)))
+        logs = np.concatenate([part for part, _ in grown])
+        masks = np.concatenate([part for _, part in grown])
+        keep = ~_dominated(logs)
+        logs, masks = logs[keep], masks[keep]
+        if len(masks) > FRONT_CAP:
+            raise CapacityError(
+                f"likelihood-ratio front passed {FRONT_CAP} points at item {j} of {len(ref)}"
+            )
+    with np.errstate(over="ignore"):  # min_payment rejects an infinite ratio
+        return RatioFront(outcomes=masks, ratios=np.exp(logs.T))
+
+
+def _dominated(points: np.ndarray) -> np.ndarray:
+    """Points another point weakly dominates; of equal points all but the first.
+
+    In lexicographic order, ties by position, a dominator comes first, and a
+    dropped point's dominators are dominated by a kept one, so each block of
+    points is compared only with the kept points before it and with itself.
+    """
+    order = np.lexsort((np.arange(len(points)),) + tuple(points.T[::-1]))
+    pts = points[order]
+    lost = np.zeros(len(pts), dtype=bool)
+    step = max(1, _BLOCK // len(pts))
+    for start in range(0, len(pts), step):
+        block = pts[start : start + step]
+        earlier = np.concatenate([pts[:start][~lost[:start]], block])
+        le = np.ones((len(block), len(earlier)), dtype=bool)
+        rank = np.arange(len(block))
+        le[:, -len(block) :] = rank < rank[:, None]  # within the block, earlier points only
+        for c, col in enumerate(earlier.T):
+            le &= col <= block[:, c : c + 1]
+        lost[start : start + len(block)] = le.any(axis=1)
+    unsorted = np.empty_like(lost)
+    unsorted[order] = lost
+    return unsorted
 
 
 def min_ratio_bruteforce(inst: SeparationInstance) -> OracleResult:

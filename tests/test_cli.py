@@ -273,19 +273,38 @@ def test_exit_codes(tmp_path, capsys):
     bad.write_text("{not json")
     code, _, err = run(capsys, ["solve", "--instance", str(bad)])
     assert code == 2 and "malformed JSON" in err
+    # rival ratios (1 +- eps_j)-products whose logs sum to a constant: all
+    # 2^21 outcomes of action 0 sit on its likelihood-ratio front, past its
+    # cap, and m=21 is too many items to enumerate instead
+    eps = [0.3 * (j + 1) / 22 for j in range(21)]
     big = tmp_path / "big.json"
     big.write_text(
         json.dumps(
             {
                 "kind": "product",
-                "costs": [0.0],
+                "costs": [0.0, 0.001, 0.001],
                 "rewards": [0.01] * 21,
-                "probs": [[0.5] * 21],
+                "probs": [[0.5] * 21, [0.5 + e / 2 for e in eps], [0.5 - e / 2 for e in eps]],
             }
         )
     )
     code, _, err = run(capsys, ["solve", "--instance", str(big)])
     assert code == 4 and "resource limit" in err
+    # action 1's cheapest contract pays on the all-in outcome, whose
+    # probability 1e-330 underflows to 0
+    tiny = tmp_path / "tiny.json"
+    tiny.write_text(
+        json.dumps(
+            {
+                "kind": "product",
+                "costs": [0.0, 0.01],
+                "rewards": [1.0] * 110,
+                "probs": [[1e-6] * 110, [1e-3] * 110],
+            }
+        )
+    )
+    code, out, err = run(capsys, ["solve", "--instance", str(tiny)])
+    assert code == 4 and out == "" and "Traceback" not in err
     code, _, _ = run(capsys, ["gen", "gap", "--c", "2", "--gamma", "0.1", "--contract-out", str(tmp_path / "x.json")])
     assert code == 2
 
@@ -319,6 +338,31 @@ def test_non_finite_input_exits_2(tmp_path, capsys, instance, contract):
     inst.write_text(instance)
     con = tmp_path / "con.json"
     con.write_text(contract or '{"kind": "sparse", "base": 0.0, "payments": []}')
+    code, out, err = run(capsys, ["verify", "--instance", str(inst), "--contract", str(con), "--action", "0"])
+    assert code == 2 and out == ""
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "contract",
+    [
+        '{"kind": "sparse", "base": 0.0, "payments": [{"outcome": [0], "pay": "abc"}]}',
+        '{"kind": "sparse", "base": "x", "payments": []}',
+        '{"kind": "linear", "alpha": "y"}',
+        '{"kind": "mixed", "sparse": {"kind": "sparse"}, "alpha": "y"}',
+        '{"kind": "separable", "item_payments": ["z"]}',
+        '{"kind": "separable", "item_payments": 5}',
+        '{"kind": "sparse", "payments": [{"outcome": ["a"], "pay": 1.0}]}',
+        '{"kind": "sparse", "payments": [[0, 1.0]]}',
+    ],
+    ids=["pay", "base", "alpha", "mixed-alpha", "separable-pay", "separable-not-list",
+         "outcome-item", "payment-not-object"],
+)
+def test_non_numeric_contract_exits_2(tmp_path, capsys, contract):
+    inst = tmp_path / "inst.json"
+    inst.write_text(_PRODUCT)
+    con = tmp_path / "con.json"
+    con.write_text(contract)
     code, out, err = run(capsys, ["verify", "--instance", str(inst), "--contract", str(con), "--action", "0"])
     assert code == 2 and out == ""
     assert "Traceback" not in err

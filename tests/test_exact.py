@@ -2,12 +2,15 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import contract_forge.generators as g
 from contract_forge import (
     ExplicitSetting,
     ProductSetting,
     best_response,
+    expected_payment,
     expected_reward,
     product_to_explicit,
     verify_delta_ic,
@@ -185,3 +188,76 @@ def test_min_payment_scale_invariant(k):
                 assert got == pytest.approx(k * want, rel=1e-6, abs=1e-12 * k), (
                     f"seed {seed} action {action}"
                 )
+
+
+def assert_matches_scipy(setting, action, delta=0.0, notion="mult", tol=1e-7):
+    """min_payment against HiGHS on all 2^m outcomes; returns the HiGHS value."""
+    res = min_payment(setting, action, delta=delta, notion=notion)
+    status, value, _ = scipy_min_payment(product_to_explicit(setting), action, delta, notion)
+    if status == "infeasible":
+        assert res.status == NOT_IMPLEMENTABLE
+        return value
+    assert res.status == IMPLEMENTABLE
+    assert res.expected_payment == pytest.approx(value, abs=tol)
+    assert verify_delta_ic(setting, res.contract, action, delta, notion, tol=tol)
+    # the reported payment is what the contract pays at the target
+    assert res.expected_payment == pytest.approx(
+        expected_payment(setting, action, res.contract), abs=1e-12
+    )
+    return value
+
+
+@pytest.mark.parametrize("seed", [1582772209, 250786863, 2013813635])
+def test_opt_contract_matches_highs_on_wide_settings(seed):
+    # the dense simplex over all 8,192 outcomes stopped early on these
+    s = g.gen_random(4, 13, seed)
+    res = opt_contract(s)
+    want = max(expected_reward(s, i) - assert_matches_scipy(s, i) for i in range(4))
+    assert res.payoff == pytest.approx(want, abs=1e-7)
+
+
+def test_min_payment_matches_highs_at_m14():
+    assert_matches_scipy(g.gen_random(4, 14, 7), 3)
+
+
+@settings(max_examples=30)
+@given(
+    n=st.integers(2, 5),
+    m=st.integers(1, 12),
+    seed=st.integers(0, 2**31 - 1),
+    twin=st.booleans(),
+)
+def test_front_lp_matches_scipy(n, m, seed, twin):
+    s = g.gen_random(n, m, seed)
+    if twin:  # the free action takes the last one's probabilities: a cheaper twin
+        probs = s.probs.copy()
+        probs[0] = probs[-1]
+        s = ProductSetting(costs=s.costs, rewards=s.rewards, probs=probs)
+    for action in range(n):
+        for delta in (0.0, 0.1):
+            for notion in ("mult", "add"):
+                assert_matches_scipy(s, action, delta, notion)
+
+
+def test_front_past_cap_enumerates_small_m():
+    # every outcome of action 0 is on its front (the two rivals' log-ratios
+    # sum to a constant): 2^14 points pass FRONT_CAP, so the 2^14 outcomes
+    # are enumerated instead
+    eps = 0.3 * np.arange(1, 15) / 15
+    s = ProductSetting(
+        costs=[0.0, 0.001, 0.001],
+        rewards=[0.01] * 14,
+        probs=[[0.5] * 14, 0.5 + eps / 2, 0.5 - eps / 2],
+    )
+    for action in range(3):
+        assert_matches_scipy(s, action)
+
+
+def test_twin_of_cheaper_action_not_implementable():
+    s = g.gen_random(3, 6, 4)
+    probs = s.probs.copy()
+    probs[0] = probs[2]
+    s = ProductSetting(costs=s.costs, rewards=s.rewards, probs=probs)
+    assert min_payment(s, 2).status == NOT_IMPLEMENTABLE
+    assert_matches_scipy(s, 2)
+    assert_matches_scipy(s, 2, delta=0.1)

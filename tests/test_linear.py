@@ -281,3 +281,16 @@ def test_separable_lps_survive_phase1_roundoff():
         best = max(best, rewards[i] - ref.fun)
     _, _, payoff = optimal_separable(setting, delta)
     assert payoff == pytest.approx(best, abs=1e-6)
+
+
+@pytest.mark.parametrize("k", [1e-9, 1e-6, 1e3, 1e6, 1e9])
+def test_optimal_separable_scale_invariant(k):
+    # the package's own unscaled answer is the reference, as for exact.min_payment
+    for seed in range(20):
+        base = gen_random(4, 6, seed)
+        scaled = ProductSetting(costs=k * base.costs, rewards=k * base.rewards, probs=base.probs)
+        want_pay, want_action, want = optimal_separable(base)
+        got_pay, got_action, got = optimal_separable(scaled)
+        assert got_action == want_action, f"seed {seed}"
+        assert got == pytest.approx(k * want, rel=1e-6, abs=1e-12 * k), f"seed {seed}"
+        np.testing.assert_allclose(got_pay, k * np.array(want_pay), rtol=1e-6, atol=1e-12 * k)

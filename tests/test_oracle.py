@@ -1,7 +1,10 @@
+import itertools
+
 import numpy as np
 import pytest
 
-from contract_forge import InputError
+from contract_forge import CapacityError, InputError
+from contract_forge.model import FRONT_CAP
 from contract_forge.oracle import (
     OracleResult,
     SeparationInstance,
@@ -9,6 +12,7 @@ from contract_forge.oracle import (
     min_ratio_bruteforce,
     min_ratio_fptas,
     min_ratio_fptas_stats,
+    ratio_front,
 )
 
 
@@ -130,3 +134,101 @@ def test_fptas_deterministic():
     a = min_ratio_fptas(inst, eps=0.3)
     b = min_ratio_fptas(inst, eps=0.3)
     assert a == b
+
+
+def brute_front(mixtures, reference):
+    """({mask: ratio vector} over all subsets the reference realizes, the
+    Pareto-minimal ones among them), by enumeration.
+
+    Ratios are products of per-item factors taken in item order; equal
+    vectors keep the lowest mask.
+    """
+    mixtures, reference = np.asarray(mixtures, float), np.asarray(reference, float)
+    m = len(reference)
+    points = {}
+    for bits in itertools.product((0, 1), repeat=m):
+        mask = sum(1 << j for j, b in enumerate(bits) if b)
+        if any(reference[j] == (0.0 if b else 1.0) for j, b in enumerate(bits)):
+            continue  # the reference never realizes this subset
+        ratio = np.ones(len(mixtures))
+        for j, b in enumerate(bits):
+            q, p = mixtures[:, j], reference[j]
+            ratio = ratio * (q / p if b else (1.0 - q) / (1.0 - p))
+        points[mask] = ratio
+    front = {
+        s: r
+        for s, r in points.items()
+        if not any(
+            (o <= r).all() and ((o < r).any() or t < s) for t, o in points.items() if t != s
+        )
+    }
+    return points, front
+
+
+def assert_front_matches(mixtures, reference):
+    """The same ratio vectors as enumeration, each at an outcome that has it."""
+    front = ratio_front(mixtures, reference)
+    points, want = brute_front(mixtures, reference)
+    got = dict(zip(front.outcomes, front.ratios.T))
+    assert len(got) == len(want)
+    for mask, ratio in got.items():
+        np.testing.assert_allclose(ratio, points[mask], rtol=1e-12)
+    np.testing.assert_allclose(
+        sorted(map(tuple, got.values())), sorted(map(tuple, want.values())), rtol=1e-12
+    )
+    return front, want
+
+
+@pytest.mark.parametrize("k,m,seed", [(1, 8, 0), (2, 10, 1), (3, 9, 2), (3, 10, 3), (5, 8, 4)])
+def test_ratio_front_matches_brute_force(k, m, seed):
+    rng = np.random.default_rng(seed)
+    front, want = assert_front_matches(rng.uniform(size=(k, m)), rng.uniform(size=m))
+    assert sorted(front.outcomes) == sorted(want)
+
+
+def test_ratio_front_forced_and_zero_items():
+    rng = np.random.default_rng(5)
+    mixtures = rng.uniform(size=(3, 9))
+    reference = rng.uniform(size=9)
+    reference[[1, 4]] = 0.0, 1.0  # item 1 never realized, item 4 always
+    mixtures[0, 2] = 0.0  # zero ratio on any subset holding item 2
+    mixtures[1, 6] = 1.0  # zero ratio on any subset missing item 6
+    mixtures[2, [5, 7]] = 0.0
+    front, _ = assert_front_matches(mixtures, reference)
+    assert all(mask & 0b10 == 0 and mask & 0b10000 for mask in front.outcomes)
+    for mask, ratio in zip(front.outcomes, front.ratios.T):
+        assert (ratio[0] == 0.0) == bool(mask & 0b100)
+        assert (ratio[2] == 0.0) == bool(mask & 0b10100000)
+
+
+def test_ratio_front_ties_keep_lowest_mask():
+    rng = np.random.default_rng(6)
+    reference = rng.uniform(size=7)
+    mixtures = rng.uniform(size=(2, 7))
+    mixtures[:, [0, 3]] = reference[[0, 3]]  # items 0 and 3 leave every ratio as it is
+    front, want = assert_front_matches(mixtures, reference)
+    assert sorted(front.outcomes) == sorted(want)
+    assert all(mask & 0b1001 == 0 for mask in front.outcomes)
+    twin = ratio_front([reference], reference)  # every outcome ties at ratio 1
+    assert twin.outcomes.tolist() == [0] and twin.ratios.tolist() == [[1.0]]
+
+
+def test_ratio_front_without_rivals():
+    reference = [0.3, 1.0, 0.6, 0.0]
+    front = ratio_front(np.zeros((0, 4)), reference)
+    assert front.outcomes.tolist() == [0b10]
+    assert front.ratios.shape == (0, 1)
+    assert_front_matches(np.zeros((0, 4)), reference)
+
+
+def test_ratio_front_cap():
+    # the logs of the two rivals' ratios sum to a constant, so all 2^m
+    # outcomes are Pareto-minimal: 2^12 = FRONT_CAP points fit, 2^13 do not
+    eps = 0.3 * np.arange(1, 14) / 14
+    mixtures = np.array([0.5 + eps / 2, 0.5 - eps / 2])
+    reference = np.full(13, 0.5)
+    assert len(ratio_front(mixtures[:, :12], reference[:12]).outcomes) == FRONT_CAP == 1 << 12
+    with pytest.raises(CapacityError):
+        ratio_front(mixtures, reference)
+    with pytest.raises(InputError):
+        ratio_front(mixtures[:, :12], reference)
