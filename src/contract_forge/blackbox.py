@@ -9,6 +9,12 @@ that event, solving for the optimal additively-2eps-IC contract on the
 empirical model yields a contract that is 4eps-IC on the truth and loses at
 most 5eps of the optimal IC payoff.
 
+estimate needs only how often each outcome turns up, so it draws the counts
+of s queries directly (QueryOracle.sample_counts) instead of s outcomes: one
+multinomial over an explicit setting's outcomes, or, on a product setting,
+one binomial split of every partial outcome's count per item.  Its time and
+memory grow with the number of distinct outcomes seen, not with s.
+
 Also houses the two-setting lower-bound construction showing that when eta is
 tiny, any scheme needs on the order of 1/sqrt(eta) queries to tell apart two
 settings whose optimal contracts differ, because the distinguishing outcomes
@@ -19,14 +25,15 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Dict, Tuple
+from typing import Tuple
 
 import numpy as np
 
-from .errors import InputError
+from .errors import CapacityError, InputError
 from .exact import opt_contract
 from .model import (
     ADDITIVE,
+    M_MAX_ENUMERATE,
     ExplicitSetting,
     ProductSetting,
     Setting,
@@ -39,6 +46,13 @@ from .model import (
 
 TAU = 1.0 + math.sqrt(2.0)
 ETA_MAX_NEGATIVE_PAIR = 1.0 / 625.0
+# QueryOracle.query draws its uniforms this many rows at a time, so its
+# temporaries stay bounded however many queries are asked for.
+QUERY_BLOCK_ROWS = 1 << 12
+# Most partial outcomes QueryOracle.sample_counts keeps live at once.
+PARTIALS_CAP = 1 << M_MAX_ENUMERATE
+# Most items a sampled product setting may have: outcomes are int64 bitmasks.
+MAX_ITEMS = 63
 
 
 def required_samples(n: int, eta: float, eps: float, gamma: float) -> int:
@@ -55,7 +69,10 @@ def required_samples(n: int, eta: float, eps: float, gamma: float) -> int:
         raise InputError(f"eps must lie in (0, 1/2], got {eps}")
     if not 0.0 < gamma < 1.0:
         raise InputError(f"gamma must lie in (0, 1), got {gamma}")
-    return math.ceil(3.0 * math.log(2.0 * n / (eta * gamma)) / (eta * eps * eps))
+    count = 3.0 * math.log(2.0 * n / (eta * gamma)) / (eta * eps * eps)
+    if not math.isfinite(count):
+        raise CapacityError(f"eta={eta} asks for more queries than float64 can count")
+    return math.ceil(count)
 
 
 class QueryOracle:
@@ -69,6 +86,8 @@ class QueryOracle:
     def __init__(self, hidden: Setting, seed: int = 0):
         if not isinstance(hidden, (ProductSetting, ExplicitSetting)):
             raise InputError("hidden setting must be a product or explicit setting")
+        if isinstance(hidden, ProductSetting) and hidden.m > MAX_ITEMS:
+            raise CapacityError(f"{hidden.m} items do not fit a 64-bit outcome bitmask")
         self.hidden = hidden
         self.seed = int(seed)
         self._rng = np.random.default_rng(self.seed)
@@ -77,16 +96,62 @@ class QueryOracle:
         self._rng = np.random.default_rng(self.seed)
 
     def query(self, action: int, size: int = 1) -> np.ndarray:
+        """`size` outcome identifiers drawn independently from `action`'s distribution."""
+        self._check(action, size)
+        if isinstance(self.hidden, ProductSetting):
+            row = self.hidden.probs[action]
+            weights = np.int64(1) << np.arange(row.size, dtype=np.int64)
+            out = np.empty(size, dtype=np.int64)
+            # block by block draws the same stream as one (size, m) draw
+            for start in range(0, size, QUERY_BLOCK_ROWS):
+                bits = self._rng.random((min(QUERY_BLOCK_ROWS, size - start), row.size)) < row
+                out[start : start + len(bits)] = bits.astype(np.int64) @ weights
+            return out
+        row = self.hidden.dist[action]
+        return self._rng.choice(row.size, size=size, p=row).astype(np.int64)
+
+    def sample_counts(self, action: int, size: int) -> Tuple[np.ndarray, np.ndarray]:
+        """The outcomes seen in `size` queries of `action`, ascending, and how often.
+
+        Distributed as np.unique(query(action, size), return_counts=True), that
+        is Multinomial(size, q_action), without drawing the queries one by one.
+        An explicit setting draws one multinomial over its outcomes.  A product
+        setting starts from one partial outcome (no item) holding all `size`
+        queries and, item by item, splits each partial's count binomially
+        between leaving the item out and taking it in; items are independent,
+        so the split is exact.  Partials with a count of 0 are dropped, so at
+        most min(size, 2^m) are live; past PARTIALS_CAP it raises
+        CapacityError.
+        """
+        self._check(action, size)
+        if size > np.iinfo(np.int64).max:
+            raise CapacityError(f"{size} queries per action exceed a 64-bit count")
+        if isinstance(self.hidden, ExplicitSetting):
+            # validation lets entries dip to -TOL_VALID and rows sum within it of 1
+            row = np.clip(self.hidden.dist[action], 0.0, None)
+            counts = self._rng.multinomial(size, row / row.sum())
+            outcomes = np.flatnonzero(counts)
+            return outcomes, counts[outcomes]
+        masks = np.zeros(1, dtype=np.int64)
+        counts = np.array([size], dtype=np.int64)
+        for j, q in enumerate(np.clip(self.hidden.probs[action], 0.0, 1.0)):
+            taken = self._rng.binomial(counts, q)
+            left = counts - taken
+            out, into = left > 0, taken > 0
+            if np.count_nonzero(out) + np.count_nonzero(into) > PARTIALS_CAP:
+                raise CapacityError(
+                    f"sampling action {action} keeps more than {PARTIALS_CAP} partial outcomes"
+                )
+            # every mask so far lies below 1 << j, so the order stays ascending
+            masks = np.concatenate([masks[out], masks[into] | (1 << j)])
+            counts = np.concatenate([left[out], taken[into]])
+        return masks, counts
+
+    def _check(self, action: int, size: int) -> None:
         if not (0 <= action < self.hidden.n):
             raise InputError(f"action index {action} outside range [0, {self.hidden.n})")
         if size < 1:
             raise InputError("size must be at least 1")
-        if isinstance(self.hidden, ProductSetting):
-            row = self.hidden.probs[action]
-            bits = self._rng.random((size, row.size)) < row
-            return bits.astype(np.int64) @ (np.int64(1) << np.arange(row.size, dtype=np.int64))
-        row = self.hidden.dist[action]
-        return self._rng.choice(row.size, size=size, p=row).astype(np.int64)
 
 
 @dataclass(frozen=True)
@@ -132,25 +197,30 @@ class EmpiricalModel:
 
 
 def estimate(oracle: QueryOracle, s: int) -> EmpiricalModel:
-    """Issue s queries per action and record empirical outcome frequencies."""
+    """Record empirical outcome frequencies over s queries per action.
+
+    Draws the counts of the s queries (QueryOracle.sample_counts), not the
+    queries themselves.
+    """
     if s < 1:
         raise InputError("need at least one query per action")
     hidden = oracle.hidden
-    per_action: list[Dict[int, int]] = []
-    observed: set[int] = set()
-    for i in range(hidden.n):
-        ids, cnt = np.unique(oracle.query(i, size=s), return_counts=True)
-        table = {int(o): int(c) for o, c in zip(ids, cnt)}
-        per_action.append(table)
-        observed.update(table)
-    outcomes = tuple(sorted(observed))
-    counts = tuple(tuple(table.get(o, 0) for o in outcomes) for table in per_action)
+    draws = [oracle.sample_counts(i, s) for i in range(hidden.n)]
+    outcomes = np.unique(np.concatenate([ids for ids, _ in draws]))
+    counts = np.zeros((hidden.n, outcomes.size), dtype=np.int64)
+    for i, (ids, cnt) in enumerate(draws):
+        counts[i, np.searchsorted(outcomes, ids)] = cnt
     setting = ExplicitSetting(
         costs=hidden.costs,
-        outcome_rewards=[outcome_reward(hidden, o) for o in outcomes],
-        dist=np.array(counts, dtype=float) / s,
+        outcome_rewards=[outcome_reward(hidden, int(o)) for o in outcomes],
+        dist=counts / s,
     )
-    return EmpiricalModel(outcomes=outcomes, counts=counts, samples=s, setting=setting)
+    return EmpiricalModel(
+        outcomes=tuple(outcomes.tolist()),
+        counts=tuple(map(tuple, counts.tolist())),
+        samples=s,
+        setting=setting,
+    )
 
 
 @dataclass(frozen=True)

@@ -44,12 +44,11 @@ from .model import (
     MULTIPLICATIVE,
     ProductSetting,
     Sparse,
-    TOL_TIE,
     expected_payment,
-    expected_reward,
     expected_rewards,
     make_sparse,
     outcome_probabilities,
+    tie_tolerance,
     verify_delta_ic,
 )
 from .oracle import OracleResult, SeparationInstance, min_ratio_fptas
@@ -179,7 +178,7 @@ class _Solver:
             mask: y / q_ref * self.scale
             for (mask, (q_ref, _)), y in zip(self.pool.items(), multipliers)
         }
-        return make_sparse(multipliers[-1] / self.delta * self.scale, payments)
+        return make_sparse(multipliers[-1] / self.delta * self.scale, payments, unit=self.scale)
 
 
 def min_payment_delta(setting: ProductSetting, action: int, delta: float) -> DeltaSolveResult:
@@ -233,12 +232,11 @@ def opt_contract_delta(setting: ProductSetting, delta: float) -> OptContractResu
     DeltaSolveResults ride along in per_action.
     """
     results = [min_payment_delta(setting, i, delta) for i in range(setting.n)]
-    payoffs = [
-        expected_reward(setting, i) - res.expected_payment for i, res in enumerate(results)
-    ]
+    rewards = expected_rewards(setting)
+    payoffs = [float(rewards[i]) - res.expected_payment for i, res in enumerate(results)]
     best = max(payoffs)
-    tol = TOL_TIE * max(1.0, abs(best))
-    action = next(i for i, v in enumerate(payoffs) if v >= best - tol)
+    cutoff = best - tie_tolerance(rewards)
+    action = next(i for i, v in enumerate(payoffs) if v >= cutoff)
     return OptContractResult(
         payoff=payoffs[action],
         action=action,

@@ -23,7 +23,6 @@ from .lpcore import INFEASIBLE, LESS, OPTIMAL, LinearProgram, LPConfig, solve_lp
 from .model import (
     M_MAX_ENUMERATE,
     MULTIPLICATIVE,
-    TOL_TIE,
     ProductSetting,
     Setting,
     Sparse,
@@ -32,6 +31,7 @@ from .model import (
     normalize_notion,
     outcome_probabilities,
     product_to_explicit,
+    tie_tolerance,
 )
 from .oracle import ratio_front
 
@@ -110,7 +110,7 @@ def min_payment(
     return MinPaymentResult(
         action=action,
         expected_payment=float(sol.objective_value) * scale,
-        contract=make_sparse(0.0, dict(zip(outcomes[paid], pay))),
+        contract=make_sparse(0.0, dict(zip(outcomes[paid], pay)), unit=scale),
         status=IMPLEMENTABLE,
     )
 
@@ -150,7 +150,8 @@ def opt_contract(
     best = max(payoffs)
     if best == -math.inf:
         raise InputError("no action is implementable (free action missing?)")
-    winner = min(i for i, p in enumerate(payoffs) if p >= best - TOL_TIE)
+    cutoff = best - tie_tolerance(rewards)
+    winner = min(i for i, p in enumerate(payoffs) if p >= cutoff)
     return OptContractResult(
         payoff=payoffs[winner],
         action=winner,

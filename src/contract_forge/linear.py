@@ -21,10 +21,9 @@ import numpy as np
 
 from .errors import InputError
 from .lpcore import LESS, OPTIMAL, LinearProgram, solve_lp
-from .model import Setting, _item_marginals, expected_rewards, is_normalized
+from .model import Setting, _item_marginals, expected_rewards, is_normalized, tie_tolerance
 
 _TOL_DUP = 0.0  # duplicate expected rewards are rejected on exact equality
-_TOL_PAYOFF_TIE = 1e-9  # payoffs this close (relative) count as tied
 
 
 @dataclass(frozen=True)
@@ -126,9 +125,9 @@ def _pick_best(
     candidates: Sequence[Tuple[float, int, float]], rewards: np.ndarray
 ) -> Tuple[float, int, float]:
     """Highest payoff wins; near-ties go to the higher-reward action."""
+    tol = tie_tolerance(rewards[[action for _, action, _ in candidates]])
     best = candidates[0]
     for cand in candidates[1:]:
-        tol = _TOL_PAYOFF_TIE * max(1.0, abs(best[2]), abs(cand[2]))
         if cand[2] > best[2] + tol:
             best = cand
         elif cand[2] >= best[2] - tol and rewards[cand[1]] > rewards[best[1]]:
@@ -169,6 +168,7 @@ def optimal_separable(
         raise InputError("delta must be nonnegative")
     rewards, costs = expected_rewards(setting), setting.costs
     marg = _item_marginals(setting)
+    tol = tie_tolerance(rewards)
     best = None
     for i in range(setting.n):
         rivals = np.arange(setting.n) != i
@@ -191,9 +191,6 @@ def optimal_separable(
             best = candidate
             continue
         _, j, best_payoff = best
-        # a payoff's rounding error scales with the reward and the payment it
-        # is the difference of, not with the payoff itself
-        tol = _TOL_PAYOFF_TIE * max(rewards[i], rewards[j], abs(payoff), abs(best_payoff))
         if payoff > best_payoff + tol or (payoff >= best_payoff - tol and rewards[i] > rewards[j]):
             best = candidate
     if best is None:

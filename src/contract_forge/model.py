@@ -260,9 +260,13 @@ class Mixed:
 Contract = Union[Sparse, Linear, Separable, Mixed]
 
 
-def make_sparse(base: float, payments: dict, drop_tol: float = 1e-12) -> Sparse:
-    """Build a Sparse contract, dropping numerically-zero payments."""
-    kept = {int(k): float(v) for k, v in payments.items() if float(v) > drop_tol}
+def make_sparse(base: float, payments: dict, unit: float = 1.0) -> Sparse:
+    """Build a Sparse contract, dropping numerically-zero payments.
+
+    `unit` is the money unit the solver worked in; payments up to 1e-12 of it
+    count as zero.
+    """
+    kept = {int(k): float(v) for k, v in payments.items() if float(v) > 1e-12 * unit}
     return Sparse(base=float(base), payments=kept)
 
 
@@ -354,6 +358,16 @@ def principal_payoff(setting: Setting, action: int, contract: Contract) -> float
     return expected_reward(setting, action) - expected_payment(setting, action, contract)
 
 
+def tie_tolerance(rewards: np.ndarray) -> float:
+    """Principal payoffs this close count as tied when picking a winning action.
+
+    A payoff is an expected reward minus an expected payment, so its rounding
+    error scales with the expected rewards of the actions compared (passed
+    here), not with the payoff itself; the rule is free of the unit of money.
+    """
+    return TOL_TIE * float(np.abs(rewards).max(initial=0.0))
+
+
 @dataclass(frozen=True)
 class AgentChoice:
     action: int
@@ -443,13 +457,13 @@ def all_subset_probabilities(probs: np.ndarray) -> np.ndarray:
     return out
 
 
-def product_to_explicit(setting: ProductSetting, m_max: int = M_MAX_ENUMERATE) -> ExplicitSetting:
+def product_to_explicit(setting: ProductSetting) -> ExplicitSetting:
     """Enumerate all 2^m outcomes of a product setting in bit-set column order."""
     if not isinstance(setting, ProductSetting):
         raise InputError("product_to_explicit expects a ProductSetting")
     m = setting.m
-    if m > m_max:
-        raise CapacityError(f"m={m} items would enumerate 2^{m} outcomes (cap {m_max})")
+    if m > M_MAX_ENUMERATE:
+        raise CapacityError(f"m={m} items would enumerate 2^{m} outcomes (cap {M_MAX_ENUMERATE})")
     masks = np.arange(1 << m)
     rewards = np.zeros(1 << m)
     for j in range(m):
@@ -459,19 +473,28 @@ def product_to_explicit(setting: ProductSetting, m_max: int = M_MAX_ENUMERATE) -
     )
 
 
-def as_explicit(setting: Setting, m_max: int = M_MAX_ENUMERATE) -> ExplicitSetting:
+def min_nonzero_outcome_probability(setting: Setting) -> float:
+    """Smallest nonzero outcome probability across all actions.
+
+    On a product setting an action's least likely outcome takes, item by
+    item, the less likely of leaving the item out and taking it in (an item
+    with q in {0, 1} has one possible side, of probability 1), so nothing is
+    enumerated. A product that underflows to 0 raises CapacityError.
+    """
     if isinstance(setting, ExplicitSetting):
-        return setting
-    return product_to_explicit(setting, m_max=m_max)
-
-
-def min_nonzero_outcome_probability(setting: Setting, m_max: int = M_MAX_ENUMERATE) -> float:
-    """Smallest nonzero outcome probability across all actions."""
-    dist = as_explicit(setting, m_max=m_max).dist
-    nz = dist[dist > 0.0]
-    if nz.size == 0:
-        raise InputError("setting has no positive-probability outcome")
-    return float(nz.min())
+        nz = setting.dist[setting.dist > 0.0]
+        if nz.size == 0:
+            raise InputError("setting has no positive-probability outcome")
+        return float(nz.min())
+    q = setting.probs
+    factors = np.where((q > 0.0) & (q < 1.0), np.minimum(q, 1.0 - q), 1.0)
+    least = np.ones(setting.n)
+    for column in factors.T:  # item by item, as all_subset_probabilities multiplies
+        least = least * column
+    eta = float(least.min())
+    if eta == 0.0:
+        raise CapacityError("the least likely outcome's probability underflows float64")
+    return eta
 
 
 # ---------------------------------------------------------------------------

@@ -1,9 +1,13 @@
+import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
+from contract_forge import cli
 from contract_forge.blackbox import (
+    QUERY_BLOCK_ROWS,
     EmpiricalModel,
     QueryOracle,
     blackbox_contract,
@@ -11,17 +15,18 @@ from contract_forge.blackbox import (
     negative_pair,
     required_samples,
 )
-from contract_forge.errors import InputError
+from contract_forge.errors import CapacityError, InputError
 from contract_forge.exact import opt_contract
+from contract_forge.generators import gen_random
 from contract_forge.model import (
     ExplicitSetting,
     ProductSetting,
     Sparse,
-    as_explicit,
     ic_slack,
     min_nonzero_outcome_probability,
     outcome_probability,
     principal_payoff,
+    product_to_explicit,
     verify_delta_ic,
 )
 
@@ -59,6 +64,16 @@ def test_required_samples_validation():
     ]:
         with pytest.raises(InputError):
             required_samples(*args)
+
+
+def test_counts_or_masks_past_64_bits_exit_4():
+    with pytest.raises(CapacityError):
+        required_samples(2, 1e-320, 0.1, 0.1)  # the count is no longer finite
+    with pytest.raises(CapacityError):
+        QueryOracle(PIPELINE_SETTING, seed=0).sample_counts(0, 2**63)
+    wide = ProductSetting(costs=[0.0], rewards=[0.01] * 64, probs=[[1.0] * 64])
+    with pytest.raises(CapacityError):  # outcome bitmasks are 64-bit integers
+        QueryOracle(wide, seed=0)
 
 
 def test_point_mass_estimation_is_exact():
@@ -111,7 +126,7 @@ def test_estimation_event_rate():
     assert min_nonzero_outcome_probability(hidden) == pytest.approx(0.2)
     eps, gamma = 0.2, 0.1
     s = required_samples(2, 0.2, eps, gamma)
-    explicit = as_explicit(hidden)
+    explicit = product_to_explicit(hidden)
     hits = 0
     for trial in range(200):
         emp = estimate(QueryOracle(hidden, seed=1000 + trial), s=s)
@@ -129,7 +144,7 @@ def test_estimation_event_rate():
 
 
 def _event_holds(hidden, emp, eps):
-    explicit = as_explicit(hidden)
+    explicit = product_to_explicit(hidden)
     for i in range(explicit.n):
         for outcome in range(explicit.num_outcomes):
             q = explicit.dist[i][outcome]
@@ -144,7 +159,7 @@ def _event_holds(hidden, emp, eps):
 def test_pipeline_guarantees_under_event():
     eps, gamma = 0.1, 0.1
     hidden = PIPELINE_SETTING
-    true_opt = opt_contract(as_explicit(hidden))
+    true_opt = opt_contract(product_to_explicit(hidden))
     good = 0
     for trial in range(10):
         res = blackbox_contract(QueryOracle(hidden, seed=500 + trial), eps=eps, gamma=gamma)
@@ -198,7 +213,7 @@ def test_negative_pair_analytics():
         assert expected_reward(setting, 1) == pytest.approx(1.0, abs=1e-9)
         assert expected_reward(setting, 0) == pytest.approx(info.reward_low, abs=1e-9)
         assert min_nonzero_outcome_probability(setting) == pytest.approx(eta, abs=1e-12)
-        solved = opt_contract(as_explicit(setting))
+        solved = opt_contract(product_to_explicit(setting))
         assert solved.payoff == pytest.approx(info.benchmark_payoff, abs=1e-6)
         assert solved.action == 1
     assert info.query_lower_bound(0.1) == pytest.approx(
@@ -224,3 +239,107 @@ def test_negative_pair_distinguishing_event_rate():
     rate = hits / trials
     se = math.sqrt(expect * (1.0 - expect) / trials)
     assert abs(rate - expect) <= 3.0 * se
+
+
+EXPLICIT_HIDDEN = ExplicitSetting(
+    costs=(0.0, 0.2),
+    outcome_rewards=(0.0, 0.3, 0.6, 1.0),
+    # validation lets an entry dip just below 0; that outcome is never drawn
+    dist=((0.5, 0.25, 0.25, 0.0), (0.1, 0.2, 0.7 + 1e-10, -1e-10)),
+)
+
+
+@pytest.mark.parametrize("hidden", [PIPELINE_SETTING, gen_random(3, 6, 0), EXPLICIT_HIDDEN])
+def test_sample_counts_sum_and_order(hidden):
+    oracle = QueryOracle(hidden, seed=5)
+    for action in range(hidden.n):
+        for size in (1, 17, 10**9):
+            outcomes, counts = oracle.sample_counts(action, size)
+            assert counts.sum() == size and (counts > 0).all()
+            assert (np.diff(outcomes) > 0).all()
+
+
+def test_sample_counts_respects_sure_items():
+    hidden = ProductSetting(
+        costs=(0.0, 0.2),
+        rewards=(0.3, 0.3, 0.3),
+        probs=((0.0, 0.5, 1.0), (1.0, 0.4, 0.0)),
+    )
+    oracle = QueryOracle(hidden, seed=2)
+    for _ in range(20):
+        outcomes = oracle.sample_counts(0, 10**6)[0]
+        assert ((outcomes & 0b001) == 0).all() and ((outcomes & 0b100) != 0).all()
+        outcomes = oracle.sample_counts(1, 10**6)[0]
+        assert ((outcomes & 0b001) != 0).all() and ((outcomes & 0b100) == 0).all()
+    for seed in range(20):
+        outcomes = QueryOracle(EXPLICIT_HIDDEN, seed=seed).sample_counts(1, 10**6)[0]
+        assert 3 not in outcomes.tolist()
+
+
+def test_sample_counts_repeat_per_seed_and_after_reset():
+    hidden = gen_random(3, 6, 0)
+    first = QueryOracle(hidden, seed=8)
+    draws = [first.sample_counts(a, 5000) for a in range(3)]
+    again = QueryOracle(hidden, seed=8)
+    for a in range(3):
+        np.testing.assert_array_equal(again.sample_counts(a, 5000), draws[a])
+    first.reset()
+    for a in range(3):
+        np.testing.assert_array_equal(first.sample_counts(a, 5000), draws[a])
+    outcomes, counts = QueryOracle(hidden, seed=9).sample_counts(0, 5000)
+    assert not (np.array_equal(outcomes, draws[0][0]) and np.array_equal(counts, draws[0][1]))
+
+
+@pytest.mark.parametrize("hidden", [gen_random(2, 4, 3), EXPLICIT_HIDDEN])
+def test_sample_counts_frequencies_within_four_sigma(hidden):
+    size = 10**7
+    truth = hidden.dist if isinstance(hidden, ExplicitSetting) else product_to_explicit(hidden).dist
+    truth = np.clip(truth, 0.0, None)
+    oracle = QueryOracle(hidden, seed=21)
+    for action in range(hidden.n):
+        outcomes, counts = oracle.sample_counts(action, size)
+        seen = np.zeros(truth.shape[1])
+        seen[outcomes] = counts
+        p = truth[action]
+        assert (np.abs(seen - size * p) <= 4.0 * np.sqrt(size * p * (1.0 - p))).all()
+
+
+def test_estimate_at_billions_of_samples_stays_small():
+    hidden = gen_random(3, 6, 0)
+    s = required_samples(3, min_nonzero_outcome_probability(hidden), 0.1, 0.1)
+    assert s == 4950998315
+    tracemalloc.start()
+    try:
+        emp = estimate(QueryOracle(hidden, seed=0), s)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 10 * 2**20
+    assert emp.samples == s and all(sum(row) == s for row in emp.counts)
+
+
+def test_sampling_past_partial_cap_exits_4(tmp_path, capsys):
+    # every one of the 2^24 outcomes has probability >= 0.4^24, so the
+    # billions of queries asked for would spread over more partials than the cap
+    inst = tmp_path / "wide.json"
+    inst.write_text(
+        json.dumps(
+            {
+                "kind": "product",
+                "costs": [0.0, 0.1],
+                "rewards": [1.0 / 24] * 24,
+                "probs": [[0.5] * 24, [0.6] * 24],
+            }
+        )
+    )
+    code = cli.main(["blackbox", "--instance", str(inst), "--eps", "0.5", "--gamma", "0.5"])
+    _, err = capsys.readouterr()
+    assert code == 4 and "resource limit" in err and "Traceback" not in err
+
+
+def test_query_blocks_match_one_draw():
+    hidden = gen_random(2, 5, 1)
+    size = 3 * QUERY_BLOCK_ROWS + 17
+    got = QueryOracle(hidden, seed=31).query(1, size)
+    bits = np.random.default_rng(31).random((size, hidden.m)) < hidden.probs[1]
+    np.testing.assert_array_equal(got, bits.astype(np.int64) @ (1 << np.arange(hidden.m)))

@@ -190,6 +190,20 @@ def test_min_payment_scale_invariant(k):
                 )
 
 
+@pytest.mark.parametrize("k", [1e-12, 1e-9, 1e-6, 1e6, 1e12])
+def test_opt_contract_scale_invariant(k):
+    # the winner and its contract do not depend on the unit of money
+    for seed in range(40):
+        base = g.gen_random(4, 8, seed)
+        scaled = ProductSetting(costs=k * base.costs, rewards=k * base.rewards, probs=base.probs)
+        want, got = opt_contract(base), opt_contract(scaled)
+        assert got.action == want.action, f"seed {seed}"
+        assert got.payoff == pytest.approx(k * want.payoff, rel=1e-6, abs=1e-12 * k), f"seed {seed}"
+        paid = expected_payment(scaled, got.action, got.contract)
+        assert paid == pytest.approx(k * (expected_reward(base, want.action) - want.payoff),
+                                     rel=1e-6, abs=1e-12 * k), f"seed {seed}"
+
+
 def assert_matches_scipy(setting, action, delta=0.0, notion="mult", tol=1e-7):
     """min_payment against HiGHS on all 2^m outcomes; returns the HiGHS value."""
     res = min_payment(setting, action, delta=delta, notion=notion)

@@ -294,3 +294,17 @@ def test_optimal_separable_scale_invariant(k):
         assert got_action == want_action, f"seed {seed}"
         assert got == pytest.approx(k * want, rel=1e-6, abs=1e-12 * k), f"seed {seed}"
         np.testing.assert_allclose(got_pay, k * np.array(want_pay), rtol=1e-6, atol=1e-12 * k)
+
+
+@pytest.mark.parametrize("k", [1e-12, 1e-9, 1e-6, 1e6, 1e12])
+def test_optimal_linear_scale_invariant(k):
+    # delta is additive, so it takes the unit of money too
+    for seed in range(40):
+        base = gen_random(6, 4, seed)
+        scaled = ProductSetting(costs=k * base.costs, rewards=k * base.rewards, probs=base.probs)
+        for delta in (0.0, 0.05):
+            want_alpha, want_action, want = optimal_linear(base, delta)
+            got_alpha, got_action, got = optimal_linear(scaled, k * delta)
+            assert got_action == want_action, f"seed {seed} delta {delta}"
+            assert got_alpha == pytest.approx(want_alpha, rel=1e-9, abs=1e-12)
+            assert got == pytest.approx(k * want, rel=1e-6, abs=1e-12 * k)

@@ -230,6 +230,23 @@ def test_min_nonzero_outcome_probability(two_action):
     assert m.min_nonzero_outcome_probability(two_action) == pytest.approx(0.1)
 
 
+def test_min_nonzero_outcome_probability_closed_form():
+    # against the smallest positive entry over all 2^m enumerated outcomes
+    rng = np.random.default_rng(4)
+    for n, m_items in [(1, 1), (3, 4), (4, 9), (2, 14)]:
+        for _ in range(10):
+            probs = rng.uniform(size=(n, m_items))
+            probs[rng.uniform(size=probs.shape) < 0.2] = 0.0
+            probs[rng.uniform(size=probs.shape) < 0.2] = 1.0
+            setting = ProductSetting(costs=[0.0] * n, rewards=[1.0] * m_items, probs=probs)
+            dist = product_to_explicit(setting).dist
+            assert m.min_nonzero_outcome_probability(setting) == dist[dist > 0.0].min()
+    # 60 items at 1e-6 (or 1 - 1e-6) give 1e-360, below float64's range
+    tiny = ProductSetting(costs=[0.0], rewards=[1.0] * 60, probs=[[1e-6] * 30 + [1.0 - 1e-6] * 30])
+    with pytest.raises(CapacityError):
+        m.min_nonzero_outcome_probability(tiny)
+
+
 def test_agent_utility_explicit_matches_product(two_action):
     explicit = product_to_explicit(two_action)
     con = Sparse(payments={1: 9.0})
