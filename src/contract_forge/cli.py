@@ -43,7 +43,9 @@ from .model import (
     contract_to_dict,
     dumps,
     ic_slack,
+    item_count,
     load_json,
+    money_unit,
     outcome_to_items,
     setting_from_dict,
     setting_to_dict,
@@ -67,8 +69,8 @@ def _load_setting(args):
     return setting_from_dict(_read_json_source(args.instance))
 
 
-def _load_contract(path: str):
-    return contract_from_dict(_read_json_source(path))
+def _load_contract(path: str, setting):
+    return contract_from_dict(_read_json_source(path), item_count(setting))
 
 
 def _json_ready(value):
@@ -78,27 +80,23 @@ def _json_ready(value):
     return value
 
 
-def _emit_result(args, command: str, params: dict, result: dict) -> None:
-    envelope = {
+def _provenance(args, command: str, params: dict) -> dict:
+    return {
         "tool": "contract-forge",
         "version": __version__,
         "command": command,
         "seed": args.seed,
         "params": params,
-        "result": result,
     }
+
+
+def _emit_result(args, command: str, params: dict, result: dict) -> None:
+    envelope = {**_provenance(args, command, params), "result": result}
     print(json.dumps(envelope, indent=2, sort_keys=True))
 
 
 def _provenance_comment(args, command: str, params: dict) -> str:
-    head = {
-        "tool": "contract-forge",
-        "version": __version__,
-        "command": command,
-        "seed": args.seed,
-        "params": params,
-    }
-    return "# " + json.dumps(head, sort_keys=True)
+    return "# " + json.dumps(_provenance(args, command, params), sort_keys=True)
 
 
 def _write_contract(path: Optional[str], contract) -> None:
@@ -273,7 +271,7 @@ def cmd_oracle(args) -> int:
 
 def cmd_transform(args) -> int:
     setting = _load_setting(args)
-    contract = _load_contract(args.contract)
+    contract = _load_contract(args.contract, setting)
     params = {"delta": args.delta, "to": args.to}
     if args.to == "ic":
         res = delta_to_ic(setting, contract, args.delta)
@@ -369,10 +367,10 @@ def _read_formula(args):
 
 def cmd_verify(args) -> int:
     setting = _load_setting(args)
-    contract = _load_contract(args.contract)
+    contract = _load_contract(args.contract, setting)
     tol = TOL_IC if args.tol is None else args.tol
     slack = ic_slack(setting, contract, args.action, args.delta, args.notion)
-    ok = slack >= -tol
+    ok = slack >= -tol * money_unit(setting)
     result = {
         "action": args.action,
         "delta": args.delta,
@@ -423,7 +421,7 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=f"contract-forge {__version__}")
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--seed", type=int, default=0, help="base RNG seed (where used)")
-    common.add_argument("--tol", type=float, default=None, help="tolerance override (where used)")
+    common.add_argument("--tol", type=float, default=None, help="verify's slack tolerance, in units of the largest expected reward")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser(
@@ -543,9 +541,6 @@ def main(argv=None) -> int:
         return 2
     except FileNotFoundError as exc:
         _diag(f"error: {exc}")
-        return 2
-    except json.JSONDecodeError as exc:
-        _diag(f"error: malformed JSON input ({exc})")
         return 2
 
 

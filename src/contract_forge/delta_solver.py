@@ -42,13 +42,14 @@ from .exact import OptContractResult
 from .lpcore import LESS, LinearProgram, OPTIMAL, solve_lp
 from .model import (
     MULTIPLICATIVE,
+    TOL_TIE,
     ProductSetting,
     Sparse,
     expected_payment,
     expected_rewards,
     make_sparse,
+    money_unit,
     outcome_probabilities,
-    tie_tolerance,
     verify_delta_ic,
 )
 from .oracle import OracleResult, SeparationInstance, min_ratio_fptas
@@ -83,17 +84,14 @@ class DeltaSolveResult:
 
 
 class _Solver:
-    """Normalized instance data and the cut pool of one cutting-plane loop."""
+    """Instance data and the cut pool of one cutting-plane loop."""
 
     def __init__(self, setting: ProductSetting, action: int, delta: float):
         self.setting = setting
-        scale = float(expected_rewards(setting).max())
-        self.scale = scale if scale > 0.0 else 1.0
-        costs = setting.costs / self.scale
         self.delta = delta
         self.action = action
         self.others = [i for i in range(setting.n) if i != action]
-        self.obj = costs[action] - costs[self.others]
+        self.obj = setting.costs[action] - setting.costs[self.others]
         self.oracle_eps = min(delta, 1.0)
         # cut pool: outcome bitmask -> (target probability, likelihood ratios over self.others)
         self.pool: dict[int, tuple[float, np.ndarray]] = {}
@@ -159,7 +157,7 @@ class _Solver:
             self.trace.append(
                 TraceRow(
                     iteration=it,
-                    restricted_value=value * self.scale,
+                    restricted_value=value,
                     sum_weights=float(lam.sum()),
                     cut_outcome=outcome,
                     cut_ratio=ratio,
@@ -173,12 +171,11 @@ class _Solver:
         raise ResourceError(f"cut generation did not settle within {_MAX_ROUNDS} rounds")
 
     def contract(self, multipliers: np.ndarray) -> Sparse:
-        """Payments from the restricted dual's multipliers, in the setting's units."""
+        """Payments from the restricted dual's multipliers."""
         payments = {
-            mask: y / q_ref * self.scale
-            for (mask, (q_ref, _)), y in zip(self.pool.items(), multipliers)
+            mask: y / q_ref for (mask, (q_ref, _)), y in zip(self.pool.items(), multipliers)
         }
-        return make_sparse(multipliers[-1] / self.delta * self.scale, payments, unit=self.scale)
+        return make_sparse(multipliers[-1] / self.delta, payments, unit=money_unit(self.setting))
 
 
 def min_payment_delta(setting: ProductSetting, action: int, delta: float) -> DeltaSolveResult:
@@ -186,7 +183,8 @@ def min_payment_delta(setting: ProductSetting, action: int, delta: float) -> Del
 
     The expected payment is gamma_star / (1+delta), and gamma_star is at most
     the exact (delta=0) minimum whenever that minimum is finite.  Payments
-    come out in the setting's own reward units (normalization is internal).
+    come out in the setting's own unit of money: lpcore scales the LPs, and
+    the final incentive check allows 1e-5 money units (model.money_unit).
     """
     if not isinstance(setting, ProductSetting):
         raise InputError("min_payment_delta needs a product setting")
@@ -210,15 +208,13 @@ def min_payment_delta(setting: ProductSetting, action: int, delta: float) -> Del
     solver = _Solver(setting, action, delta)
     value, lam, multipliers = solver.run()
     contract = solver.contract(multipliers)
-    if not verify_delta_ic(
-        setting, contract, action, delta, MULTIPLICATIVE, tol=1e-5 * max(1.0, solver.scale)
-    ):
+    if not verify_delta_ic(setting, contract, action, delta, MULTIPLICATIVE, tol=1e-5):
         raise ResourceError("extracted contract failed the incentive check")
     return DeltaSolveResult(
         action=action,
         contract=contract,
         expected_payment=expected_payment(setting, action, contract),
-        gamma_star=value * solver.scale,
+        gamma_star=value,
         cut_outcomes=tuple(sorted(solver.pool)),
         dual_weights=tuple(float(v) for v in lam),
         trace=tuple(solver.trace),
@@ -235,7 +231,7 @@ def opt_contract_delta(setting: ProductSetting, delta: float) -> OptContractResu
     rewards = expected_rewards(setting)
     payoffs = [float(rewards[i]) - res.expected_payment for i, res in enumerate(results)]
     best = max(payoffs)
-    cutoff = best - tie_tolerance(rewards)
+    cutoff = best - TOL_TIE * money_unit(setting)
     action = next(i for i, v in enumerate(payoffs) if v >= cutoff)
     return OptContractResult(
         payoff=payoffs[action],

@@ -8,6 +8,10 @@ vectors (oracle.ratio_front), not its 2^m outcomes; an explicit setting
 uses each of its outcomes with q_{a,S} > 0. A product setting whose front
 passes model.FRONT_CAP is enumerated instead if it has at most
 model.M_MAX_ENUMERATE items.
+
+The LP is written in the setting's own unit of money; lpcore.solve_lp scales
+it. Picking the winning action counts payoffs within model.TOL_TIE money
+units (model.money_unit) of the best as tied.
 """
 
 from __future__ import annotations
@@ -19,19 +23,20 @@ from typing import TYPE_CHECKING, List, Optional, Union
 import numpy as np
 
 from .errors import CapacityError, InputError
-from .lpcore import INFEASIBLE, LESS, OPTIMAL, LinearProgram, LPConfig, solve_lp
+from .lpcore import INFEASIBLE, LESS, OPTIMAL, LinearProgram, solve_lp
 from .model import (
     M_MAX_ENUMERATE,
     MULTIPLICATIVE,
+    TOL_TIE,
     ProductSetting,
     Setting,
     Sparse,
     expected_rewards,
     make_sparse,
+    money_unit,
     normalize_notion,
     outcome_probabilities,
     product_to_explicit,
-    tie_tolerance,
 )
 from .oracle import ratio_front
 
@@ -63,7 +68,6 @@ def min_payment(
     action: int,
     delta: float = 0.0,
     notion: str = MULTIPLICATIVE,
-    config: Optional[LPConfig] = None,
 ) -> MinPaymentResult:
     """Cheapest contract under which `action` is a (delta-)best response.
 
@@ -71,7 +75,7 @@ def min_payment(
     deviating action; a basic optimum pays on at most n-1 outcomes.
     """
     notion = normalize_notion(notion)
-    if delta < 0:
+    if not delta >= 0.0:
         raise InputError("delta must be nonnegative")
     if not (0 <= action < setting.n):
         raise InputError(f"action index {action} outside range [0, {setting.n})")
@@ -85,16 +89,10 @@ def min_payment(
     else:
         rows = ratios - 1.0
         bounds = bounds + delta
-    # payments scale with the bounds; solving in units of the largest one
-    # keeps the simplex tolerances independent of the unit of money
-    scale = float(np.abs(bounds).max(initial=0.0)) or 1.0
     lp = LinearProgram(
-        objective=np.ones(len(outcomes)),
-        rows=rows,
-        relations=[LESS] * len(rows),
-        rhs=bounds / scale,
+        objective=np.ones(len(outcomes)), rows=rows, relations=[LESS] * len(rows), rhs=bounds
     )
-    sol = solve_lp(lp, config)
+    sol = solve_lp(lp)
     if sol.status == INFEASIBLE:
         return MinPaymentResult(
             action=action, expected_payment=math.inf, contract=None, status=NOT_IMPLEMENTABLE
@@ -104,13 +102,13 @@ def min_payment(
     paid = np.flatnonzero(sol.primal > 0.0)
     q_paid = outcome_probabilities(setting, outcomes[paid])[action]
     with np.errstate(divide="ignore", over="ignore"):
-        pay = sol.primal[paid] * scale / q_paid
+        pay = sol.primal[paid] / q_paid
     if not (np.isfinite(pay) & (pay > 0.0)).all():
         raise CapacityError(f"a payment for action {action} falls outside float64's range")
     return MinPaymentResult(
         action=action,
-        expected_payment=float(sol.objective_value) * scale,
-        contract=make_sparse(0.0, dict(zip(outcomes[paid], pay)), unit=scale),
+        expected_payment=float(sol.objective_value),
+        contract=make_sparse(0.0, dict(zip(outcomes[paid], pay)), unit=money_unit(setting)),
         status=IMPLEMENTABLE,
     )
 
@@ -135,13 +133,9 @@ def opt_contract(
     setting: Setting,
     delta: float = 0.0,
     notion: str = MULTIPLICATIVE,
-    config: Optional[LPConfig] = None,
 ) -> OptContractResult:
     """Best payoff over all (delta-)implementable actions; ties to lowest index."""
-    per_action = [
-        min_payment(setting, i, delta=delta, notion=notion, config=config)
-        for i in range(setting.n)
-    ]
+    per_action = [min_payment(setting, i, delta=delta, notion=notion) for i in range(setting.n)]
     rewards = expected_rewards(setting)
     payoffs = [
         float(rewards[i]) - res.expected_payment if res.status == IMPLEMENTABLE else -math.inf
@@ -150,7 +144,7 @@ def opt_contract(
     best = max(payoffs)
     if best == -math.inf:
         raise InputError("no action is implementable (free action missing?)")
-    cutoff = best - tie_tolerance(rewards)
+    cutoff = best - TOL_TIE * money_unit(setting)
     winner = min(i for i, p in enumerate(payoffs) if p >= cutoff)
     return OptContractResult(
         payoff=payoffs[winner],

@@ -21,9 +21,7 @@ import numpy as np
 
 from .errors import InputError
 from .lpcore import LESS, OPTIMAL, LinearProgram, solve_lp
-from .model import Setting, _item_marginals, expected_rewards, is_normalized, tie_tolerance
-
-_TOL_DUP = 0.0  # duplicate expected rewards are rejected on exact equality
+from .model import TOL_TIE, Setting, _item_marginals, expected_rewards, is_normalized, money_unit
 
 
 @dataclass(frozen=True)
@@ -66,7 +64,7 @@ def upper_envelope(setting: Setting) -> Envelope:
     rewards, costs = expected_rewards(setting), setting.costs
     order = sorted(range(setting.n), key=lambda i: (rewards[i], -costs[i]))
     for a, b in zip(order, order[1:]):
-        if rewards[b] - rewards[a] <= _TOL_DUP:
+        if rewards[b] == rewards[a]:
             raise InputError(
                 f"actions {a} and {b} share expected reward {rewards[a]:.12g}; "
                 "one dominates the other, so the envelope geometry is degenerate"
@@ -101,7 +99,7 @@ def optimal_linear(setting: Setting, delta: float = 0.0) -> Tuple[float, int, fl
     each action's cheapest delta-IC share in closed form.  Payoff ties go to
     the higher-reward action.
     """
-    if delta < 0.0:
+    if not delta >= 0.0:
         raise InputError("delta must be nonnegative")
     rewards = expected_rewards(setting)
     if delta == 0.0:
@@ -118,14 +116,13 @@ def optimal_linear(setting: Setting, delta: float = 0.0) -> Tuple[float, int, fl
                 candidates.append((alpha, i, (1.0 - alpha) * rewards[i]))
     if not candidates:
         raise InputError("no action admits a delta-IC linear contract")
-    return _pick_best(candidates, rewards)
+    return _pick_best(candidates, rewards, TOL_TIE * money_unit(setting))
 
 
 def _pick_best(
-    candidates: Sequence[Tuple[float, int, float]], rewards: np.ndarray
+    candidates: Sequence[Tuple[float, int, float]], rewards: np.ndarray, tol: float
 ) -> Tuple[float, int, float]:
-    """Highest payoff wins; near-ties go to the higher-reward action."""
-    tol = tie_tolerance(rewards[[action for _, action, _ in candidates]])
+    """Highest payoff wins; near-ties (within tol) go to the higher-reward action."""
     best = candidates[0]
     for cand in candidates[1:]:
         if cand[2] > best[2] + tol:
@@ -164,29 +161,26 @@ def optimal_separable(
     higher-reward action.  Works for explicit settings through their item
     marginals.
     """
-    if delta < 0.0:
+    if not delta >= 0.0:
         raise InputError("delta must be nonnegative")
     rewards, costs = expected_rewards(setting), setting.costs
     marg = _item_marginals(setting)
-    tol = tie_tolerance(rewards)
+    tol = TOL_TIE * money_unit(setting)
     best = None
     for i in range(setting.n):
         rivals = np.arange(setting.n) != i
-        bounds = costs[rivals] - costs[i] + delta
-        # solved in units of the largest bound, as in exact.min_payment
-        scale = float(np.abs(bounds).max(initial=0.0)) or 1.0
         sol = solve_lp(
             LinearProgram(
                 objective=marg[i],
                 rows=marg[rivals] - marg[i],
                 relations=[LESS] * (setting.n - 1),
-                rhs=bounds / scale,
+                rhs=costs[rivals] - costs[i] + delta,
             )
         )
         if sol.status != OPTIMAL:
             continue
-        payoff = float(rewards[i] - sol.objective_value * scale)
-        candidate = (tuple(float(p) for p in sol.primal * scale), i, payoff)
+        payoff = float(rewards[i] - sol.objective_value)
+        candidate = (tuple(float(p) for p in sol.primal), i, payoff)
         if best is None:
             best = candidate
             continue
@@ -244,7 +238,7 @@ def approx_linear_delta(setting: Setting, delta: float, gamma: float) -> LinearA
         alpha = (costs[cur] - costs[prev]) / (rewards[cur] - rewards[prev])
         alpha = min(max(alpha, 0.0), 1.0)
         candidates.append((alpha, cur, (1.0 - alpha) * rewards[cur]))
-    best = _pick_best(candidates, rewards)
+    best = _pick_best(candidates, rewards, TOL_TIE * money_unit(setting))
     return LinearApproxResult(
         alpha=best[0],
         action=best[1],

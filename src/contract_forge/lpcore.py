@@ -11,6 +11,13 @@ both senses: for sense "min", >= rows carry nonnegative multipliers and <=
 rows nonpositive ones; for "max" the signs flip. The Farkas certificate y
 satisfies sum_k y_k a_k <= 0 componentwise with sum_k y_k b_k > 0, where
 y_k >= 0 on >= rows and y_k <= 0 on <= rows.
+
+Scaling. solve_lp divides the objective by its largest |entry| and the
+right-hand side by its largest |entry| (1 when all are 0), solves, and scales
+primal, duals and objective values back; the Farkas certificate needs no
+scaling. So the answer does not depend on the unit the LP is written in, and
+the tolerances are relative: tol_feas to the largest |rhs| entry, tol_pivot
+(on phase-2 reduced costs) to the largest |objective| entry.
 """
 
 from __future__ import annotations
@@ -40,7 +47,6 @@ _TOL_RATIO = 1e-12
 @dataclass
 class LPConfig:
     tol_feas: float = 1e-7
-    tol_gap: float = 1e-7
     tol_pivot: float = 1e-9
     max_iter: int = 50_000
 
@@ -98,6 +104,10 @@ def _validate(lp: LinearProgram):
 def solve_lp(lp: LinearProgram, config: Optional[LPConfig] = None) -> LPSolution:
     cfg = config or LPConfig()
     c, a, rel_list, b = _validate(lp)
+    c_unit = float(np.abs(c).max()) or 1.0
+    b_unit = float(np.abs(b).max(initial=0.0)) or 1.0
+    c = c / c_unit
+    b = b / b_unit
     nx = c.size
     nr = a.shape[0]
     sense_sign = 1.0 if lp.sense == "min" else -1.0
@@ -227,17 +237,17 @@ def solve_lp(lp: LinearProgram, config: Optional[LPConfig] = None) -> LPSolution
     for k in range(nr):
         if not deleted[k] and basis[k] < nx:
             z[basis[k]] = t[k, -1]
-    value_int = 0.0 - t[-1, -1]  # not -t[-1, -1], which turns an optimum of 0 into -0.0
+    value_int = -t[-1, -1]
     # phase-2 duals: artificial costs are 0, so reduced_cost(art_k) = -y_k
     y_int = -t[-1, art_start : art_start + nr].copy()
     y_int[deleted] = 0.0
     dual_obj_int = float(y_int @ b)
     return LPSolution(
         status=OPTIMAL,
-        primal=z,
-        dual=sense_sign * y_int * sign,
-        objective_value=sense_sign * value_int,
-        dual_objective_value=sense_sign * dual_obj_int,
+        primal=z * b_unit,
+        dual=sense_sign * y_int * sign * c_unit,
+        objective_value=0.0 + sense_sign * value_int * c_unit * b_unit,  # 0.0 + turns -0.0 into 0.0
+        dual_objective_value=sense_sign * dual_obj_int * c_unit * b_unit,
         farkas=None,
         iterations=iterations[0],
     )

@@ -16,13 +16,17 @@ Outcomes are item subsets encoded as int bitmasks (item j <-> bit 1 << j). On
 an ExplicitSetting, bitmask b addresses column b of the distribution matrix,
 which matches the bit-set column order emitted by product_to_explicit.
 
-The agent picks the action maximizing expected payment minus cost, breaking
-near-ties (within TOL_TIE) in favor of the principal's payoff and then the
-lowest action index. A contract together with a designated action is delta-IC
-under the additive notion if no deviation gains more than delta in utility,
-and under the multiplicative notion if boosting the designated action's
-expected payment by (1 + delta) makes it a best response. Additive comparisons
-are only calibrated for normalized settings (max expected reward <= 1).
+Every money comparison in the package (ties, IC checks, validation slack,
+payments counted as zero) is a TOL_* constant times money_unit(setting), the
+largest |expected reward|, and lpcore.solve_lp scales its own LPs, so answers
+do not depend on the unit of money. The agent picks the action maximizing
+expected payment minus cost, breaking near-ties (within TOL_TIE) in favor of
+the principal's payoff and then the lowest action index. A contract together
+with a designated action is delta-IC under the additive notion if no deviation
+gains more than delta in utility, and under the multiplicative notion if
+boosting the designated action's expected payment by (1 + delta) makes it a
+best response. Additive comparisons are only calibrated for normalized
+settings (max expected reward <= 1).
 """
 
 from __future__ import annotations
@@ -31,17 +35,20 @@ import json
 import math
 import warnings
 from dataclasses import dataclass, field, fields
-from typing import Iterable, Union
+from typing import Iterable, Optional, Union
 
 import numpy as np
 
 from .errors import CapacityError, InputError
 
-# Near-ties in agent utility are resolved by principal payoff within this.
+# Money tolerances, in units of money_unit(setting): near-ties in utility and
+# payoff; default IC slack; the welfare floor; payments and free-action costs
+# counted as zero. TOL_VALID is the slack for probabilities and row sums, and
+# in money units for the signs of costs and rewards.
 TOL_TIE = 1e-9
-# Default slack allowed when checking IC-style inequalities.
 TOL_IC = 1e-9
-# Validation slack for probabilities, welfare, and row sums.
+TOL_WELFARE = 1e-7
+TOL_ZERO = 1e-12
 TOL_VALID = 1e-9
 
 ADDITIVE = "additive"
@@ -71,7 +78,7 @@ def read_only_array(values, ndim: int, name: str) -> np.ndarray:
     """A read-only float64 copy of `values` with `ndim` dimensions and finite entries."""
     try:
         arr = np.array(values, dtype=float)
-    except (TypeError, ValueError):
+    except (TypeError, ValueError, OverflowError):
         raise InputError(f"{name} must be a {ndim}-dimensional array of numbers")
     if arr.ndim != ndim:
         raise InputError(f"{name} must be a {ndim}-dimensional array of numbers")
@@ -114,12 +121,13 @@ class ProductSetting(ArrayFields):
         outside = probs[(probs < -TOL_VALID) | (probs > 1.0 + TOL_VALID)]
         if outside.size:
             raise InputError(f"item probability {outside[0]} outside [0, 1]")
-        if (costs < -TOL_VALID).any():
+        unit = money_unit(self)
+        if (costs < -TOL_VALID * unit).any():
             raise InputError("costs must be nonnegative")
-        if (rewards < -TOL_VALID).any():
+        if (rewards < -TOL_VALID * unit).any():
             raise InputError("rewards must be nonnegative")
         welfare = probs @ rewards - costs
-        losing = np.flatnonzero(welfare < -1e-7)
+        losing = np.flatnonzero(welfare < -TOL_WELFARE * unit)
         if losing.size:
             i = losing[0]
             raise InputError(f"action {i} has negative expected welfare {welfare[i]}")
@@ -188,7 +196,7 @@ def _finite_number(value, name: str) -> float:
     """`value` as a float; InputError unless it is a finite number."""
     try:
         number = float(value)
-    except (TypeError, ValueError):
+    except (TypeError, ValueError, OverflowError):
         raise InputError(f"{name} {value!r} is not a number")
     if not math.isfinite(number):
         raise InputError(f"{name} {value!r} is not finite")
@@ -263,10 +271,10 @@ Contract = Union[Sparse, Linear, Separable, Mixed]
 def make_sparse(base: float, payments: dict, unit: float = 1.0) -> Sparse:
     """Build a Sparse contract, dropping numerically-zero payments.
 
-    `unit` is the money unit the solver worked in; payments up to 1e-12 of it
-    count as zero.
+    `unit` is the setting's money_unit; payments up to TOL_ZERO of it count
+    as zero.
     """
-    kept = {int(k): float(v) for k, v in payments.items() if float(v) > 1e-12 * unit}
+    kept = {int(k): float(v) for k, v in payments.items() if float(v) > TOL_ZERO * unit}
     return Sparse(base=float(base), payments=kept)
 
 
@@ -316,14 +324,20 @@ def expected_reward(setting: Setting, action: int) -> float:
     return float(expected_rewards(setting)[action])
 
 
+def item_count(setting: Setting) -> int:
+    """Items an outcome bitmask may name: m, or the bits of an explicit setting's column indices."""
+    if isinstance(setting, ProductSetting):
+        return setting.m
+    return max(1, (setting.num_outcomes - 1).bit_length())
+
+
 def _item_marginals(setting: Setting) -> np.ndarray:
     """n-by-m item probabilities; an explicit setting's come from its column bitmasks."""
     if isinstance(setting, ProductSetting):
         return setting.probs
-    k = setting.num_outcomes
-    cols = np.arange(k)
+    cols = np.arange(setting.num_outcomes)
     return np.column_stack(
-        [setting.dist[:, (cols >> j) & 1 == 1].sum(axis=1) for j in range(max(1, (k - 1).bit_length()))]
+        [setting.dist[:, (cols >> j) & 1 == 1].sum(axis=1) for j in range(item_count(setting))]
     )
 
 
@@ -358,14 +372,9 @@ def principal_payoff(setting: Setting, action: int, contract: Contract) -> float
     return expected_reward(setting, action) - expected_payment(setting, action, contract)
 
 
-def tie_tolerance(rewards: np.ndarray) -> float:
-    """Principal payoffs this close count as tied when picking a winning action.
-
-    A payoff is an expected reward minus an expected payment, so its rounding
-    error scales with the expected rewards of the actions compared (passed
-    here), not with the payoff itself; the rule is free of the unit of money.
-    """
-    return TOL_TIE * float(np.abs(rewards).max(initial=0.0))
+def money_unit(setting: Setting) -> float:
+    """The setting's unit of money: its largest |expected reward|, or 1.0 when that is 0."""
+    return float(np.abs(expected_rewards(setting)).max()) or 1.0
 
 
 @dataclass(frozen=True)
@@ -375,14 +384,21 @@ class AgentChoice:
     payoff: float  # principal's expected payoff at the chosen action
 
 
-def best_response(setting: Setting, contract: Contract, tol_tie: float = TOL_TIE) -> AgentChoice:
-    """Agent's chosen action: max utility, ties to max principal payoff, then lowest index."""
+def best_response(setting: Setting, contract: Contract, delta: float = 0.0) -> AgentChoice:
+    """Agent's chosen action: max utility, ties to max principal payoff, then lowest index.
+
+    With delta > 0, every action within delta of the max utility (additively
+    delta-IC) counts as tied.
+    """
+    if not delta >= 0.0:
+        raise InputError("delta must be nonnegative")
     pays = expected_payments(setting, contract)
+    tol = TOL_TIE * money_unit(setting)
     utils = pays - setting.costs
     payoffs = expected_rewards(setting) - pays
-    candidates = utils >= utils.max() - tol_tie
+    candidates = utils >= utils.max() - delta - tol
     best_p = payoffs[candidates].max()
-    action = int(np.flatnonzero(candidates & (payoffs >= best_p - tol_tie))[0])
+    action = int(np.flatnonzero(candidates & (payoffs >= best_p - tol))[0])
     return AgentChoice(action=action, utility=float(utils[action]), payoff=float(payoffs[action]))
 
 
@@ -399,7 +415,7 @@ def ic_slack(
     Multiplicative: (1+delta) p_i - c_i - max_i' (p_i' - c_i').
     """
     notion = normalize_notion(notion)
-    if delta < 0:
+    if not delta >= 0.0:
         raise InputError("delta must be nonnegative")
     _check_action(setting, action)
     pays = expected_payments(setting, contract)
@@ -421,14 +437,14 @@ def verify_delta_ic(
     notion: str = ADDITIVE,
     tol: float = TOL_IC,
 ) -> bool:
-    """Check that `action` is a delta-best response under `contract` (within tol)."""
+    """Check that `action` is a delta-best response, within tol * money_unit(setting)."""
     notion = normalize_notion(notion)
     if notion == ADDITIVE and delta > 0 and not is_normalized(setting):
         warnings.warn(
             "additive delta-IC is calibrated for normalized settings (max expected reward <= 1)",
             stacklevel=2,
         )
-    return ic_slack(setting, contract, action, delta, notion) >= -tol
+    return ic_slack(setting, contract, action, delta, notion) >= -tol * money_unit(setting)
 
 
 def _check_action(setting: Setting, action: int) -> None:
@@ -506,12 +522,15 @@ def outcome_to_items(outcome: int) -> list:
     return [j for j in range(outcome.bit_length()) if (outcome >> j) & 1]
 
 
-def items_to_outcome(items: Iterable[int]) -> int:
+def items_to_outcome(items: Iterable[int], m: Optional[int] = None) -> int:
+    """Bitmask of an item list; with `m` given, every index must be below it."""
     mask = 0
     for j in items:
         j = int(j)
         if j < 0:
             raise InputError("item indices must be nonnegative")
+        if m is not None and j >= m:  # checked before 1 << j; j may be huge, so not printed
+            raise InputError(f"an item index lies outside the setting's {m} items")
         mask |= 1 << j
     return mask
 
@@ -541,7 +560,7 @@ def setting_from_dict(data: dict, allow_no_free_action: bool = False) -> Setting
             setting = ProductSetting(
                 costs=data["costs"], rewards=data["rewards"], probs=data["probs"]
             )
-            if not allow_no_free_action and abs(setting.costs[0]) > 1e-12:
+            if not allow_no_free_action and abs(setting.costs[0]) > TOL_ZERO * money_unit(setting):
                 raise InputError(
                     "first action must have zero cost (pass allow_no_free_action to override)"
                 )
@@ -578,14 +597,15 @@ def contract_to_dict(contract: Contract) -> dict:
     raise InputError(f"unknown contract type {type(contract).__name__}")
 
 
-def contract_from_dict(data: dict) -> Contract:
+def contract_from_dict(data: dict, items: Optional[int] = None) -> Contract:
+    """Contract from its JSON form; `items` (item_count) bounds the item indices."""
     if not isinstance(data, dict) or "kind" not in data:
         raise InputError("contract JSON must be an object with a 'kind' field")
     kind = data["kind"]
     try:
         if kind == "sparse":
             payments = {
-                items_to_outcome(entry["outcome"]): entry["pay"]
+                items_to_outcome(entry["outcome"], items): entry["pay"]
                 for entry in data.get("payments", [])
             }
             return Sparse(base=data.get("base", 0.0), payments=payments)
@@ -594,7 +614,7 @@ def contract_from_dict(data: dict) -> Contract:
         if kind == "separable":
             return Separable(item_payments=tuple(data["item_payments"]))
         if kind == "mixed":
-            sparse = contract_from_dict(data["sparse"])
+            sparse = contract_from_dict(data["sparse"], items)
             if not isinstance(sparse, Sparse):
                 raise InputError("mixed contract's 'sparse' part must be a sparse contract")
             return Mixed(sparse=sparse, alpha=data["alpha"])
@@ -618,7 +638,10 @@ def _reject_constant(name: str):
 
 def load_json(fh) -> object:
     """Parse JSON from a file object, rejecting the NaN and Infinity literals."""
-    return json.load(fh, parse_constant=_reject_constant)
+    try:
+        return json.load(fh, parse_constant=_reject_constant)
+    except ValueError as exc:  # JSONDecodeError, or an integer past Python's digit limit
+        raise InputError(f"malformed JSON input ({exc})")
 
 
 def load_setting(path: str, allow_no_free_action: bool = False) -> Setting:

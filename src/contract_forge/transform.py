@@ -18,22 +18,18 @@ from typing import Tuple
 
 from .errors import InputError, ResourceError
 from .model import (
-    ADDITIVE,
     Contract,
     Linear,
     Mixed,
-    Separable,
     Setting,
     Sparse,
-    TOL_IC,
     best_response,
-    expected_payment,
-    expected_reward,
-    ic_slack,
     is_normalized,
+    money_unit,
     principal_payoff,
 )
 
+# In money units (model.money_unit): roundoff allowed below the payoff bound.
 _TOL_BOUND = 1e-7
 
 
@@ -48,16 +44,8 @@ class IcTransformResult:
 def designated_action(setting: Setting, contract: Contract, delta: float) -> Tuple[int, float]:
     """The additively delta-IC action the agent is taken to play: best for the
     principal, lowest index on ties.  Returns (action, principal payoff)."""
-    best = None
-    for i in range(setting.n):
-        if ic_slack(setting, contract, i, delta, ADDITIVE) < -TOL_IC:
-            continue
-        payoff = principal_payoff(setting, i, contract)
-        if best is None or payoff > best[1] + TOL_IC:
-            best = (i, payoff)
-    if best is None:
-        raise InputError(f"no action is delta-IC at delta={delta} under this contract")
-    return best
+    choice = best_response(setting, contract, delta)
+    return choice.action, choice.payoff
 
 
 def _scale_contract(contract: Contract, factor: float) -> Tuple[Sparse, float]:
@@ -103,7 +91,7 @@ def delta_to_ic(setting: Setting, contract: Contract, delta: float) -> IcTransfo
         blended = Linear(alpha=alpha + root)
     bound = (1.0 - root) * payoff - (root - delta)
     realized = principal_payoff(setting, best_response(setting, blended).action, blended)
-    if realized < bound - _TOL_BOUND:
+    if realized < bound - _TOL_BOUND * money_unit(setting):
         raise ResourceError(
             f"blended contract fell short of its guarantee: {realized} < {bound}"
         )
@@ -120,7 +108,7 @@ def delta_to_ir(setting: Setting, contract: Contract, delta: float) -> Contract:
     the principal's payoff cannot cover the lift, the all-zero contract is the
     better deal.
     """
-    if delta < 0.0:
+    if not delta >= 0.0:
         raise InputError("delta must be nonnegative")
     action, payoff = designated_action(setting, contract, delta)
     if payoff <= delta:

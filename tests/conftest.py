@@ -3,7 +3,13 @@
 import numpy as np
 from hypothesis import HealthCheck, settings
 
-from contract_forge.model import ADDITIVE, MULTIPLICATIVE, ExplicitSetting, normalize_notion
+from contract_forge.model import (
+    ADDITIVE,
+    MULTIPLICATIVE,
+    ExplicitSetting,
+    ProductSetting,
+    normalize_notion,
+)
 
 settings.register_profile(
     "ci",
@@ -13,6 +19,14 @@ settings.register_profile(
     suppress_health_check=[HealthCheck.too_slow],
 )
 settings.load_profile("ci")
+
+# Units of money the scale-invariance tests multiply rewards and costs by.
+SCALES = (1e-12, 1e-9, 1e-6, 1e6, 1e12)
+
+
+def rescaled(setting: ProductSetting, k: float) -> ProductSetting:
+    """`setting` with rewards and costs in a unit of money k times smaller."""
+    return ProductSetting(costs=k * setting.costs, rewards=k * setting.rewards, probs=setting.probs)
 
 
 def scipy_min_payment(setting: ExplicitSetting, action: int, delta: float = 0.0,

@@ -1,12 +1,20 @@
+import contextlib
+import copy
 import io
 import json
+import os
+import tempfile
+import warnings
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from contract_forge import cli
 from contract_forge.generators import gen_gap, gen_random
 from contract_forge.model import (
     dumps,
+    product_to_explicit,
     ic_slack,
     load_contract,
     load_setting,
@@ -381,3 +389,119 @@ def test_verify_single_action_prints_valid_json(tmp_path, capsys):
 
     result = json.loads(out, parse_constant=reject)["result"]
     assert result["slack"] is None and result["ok"] is True
+
+
+@pytest.mark.parametrize("command", ["verify", "transform"])
+@pytest.mark.parametrize("item", [10**11, 10**6, 5])
+def test_item_index_past_item_count_exits_2(tmp_path, capsys, command, item):
+    # a 5-item setting: item 5 and beyond name no item; 1 << 10**11 would not fit in memory
+    inst = tmp_path / "inst.json"
+    inst.write_text(dumps(gen_random(3, 5, 0)))
+    con = tmp_path / "con.json"
+    con.write_text(json.dumps({"kind": "sparse", "payments": [{"outcome": [0, item], "pay": 0.1}]}))
+    args = {"verify": ["--action", "0"], "transform": ["--delta", "0.1", "--to", "ir"]}[command]
+    code, out, err = run(capsys, [command, "--instance", str(inst), "--contract", str(con), *args])
+    assert code == 2 and out == ""
+    assert "Traceback" not in err
+
+
+def _paths(node, prefix=()):
+    """Every place in a JSON value that a mutation may overwrite."""
+    yield prefix
+    children = node.items() if isinstance(node, dict) else enumerate(node) if isinstance(node, list) else ()
+    for key, child in children:
+        yield from _paths(child, prefix + (key,))
+
+
+def _replace(node, path, value):
+    if not path:
+        return value
+    node[path[0]] = _replace(node[path[0]], path[1:], value)
+    return node
+
+
+_ODD_VALUES = st.one_of(
+    st.text(max_size=3),
+    st.sampled_from([10**400, 10**11, 2**63, -1, -(10**400), 1e308, -1e308, 5e-324, -0.5, True, None]),
+    st.sampled_from([float("nan"), float("inf"), -float("inf")]),
+    st.lists(st.integers(-3, 10), max_size=3),
+    st.just([[0.5, 0.5], [0.1]]),
+    st.dictionaries(st.sampled_from(["kind", "a"]), st.integers(0, 2), max_size=2),
+)
+
+
+@st.composite
+def _instances(draw):
+    n, m = draw(st.integers(1, 4)), draw(st.integers(1, 8))
+    unit = draw(st.sampled_from([1e-9, 1.0, 1e9]))
+    setting = gen_random(n, m, draw(st.integers(0, 50)))
+    data = json.loads(dumps(setting))
+    data["costs"] = [unit * c for c in data["costs"]]
+    data["rewards"] = [unit * r for r in data["rewards"]]
+    if draw(st.booleans()) and m <= 4:
+        data = json.loads(dumps(product_to_explicit(setting_from_dict(data))))
+    return data
+
+
+@st.composite
+def _contracts(draw):
+    m = 8
+    sparse = {
+        "kind": "sparse",
+        "base": draw(st.floats(0, 2)),
+        "payments": [
+            {"outcome": draw(st.lists(st.integers(0, m), max_size=3, unique=True)), "pay": draw(st.floats(0, 2))}
+            for _ in range(draw(st.integers(0, 3)))
+        ],
+    }
+    return draw(st.sampled_from([
+        sparse,
+        {"kind": "linear", "alpha": draw(st.floats(0, 1))},
+        {"kind": "separable", "item_payments": draw(st.lists(st.floats(0, 1), min_size=1, max_size=m))},
+        {"kind": "mixed", "sparse": sparse, "alpha": draw(st.floats(0, 1))},
+    ]))
+
+
+def _mutate(draw, data):
+    for _ in range(draw(st.integers(0, 2))):
+        path = draw(st.sampled_from(list(_paths(data))))
+        data = _replace(data, path, copy.deepcopy(draw(_ODD_VALUES)))
+    return data
+
+
+_COMMANDS = [
+    ["solve"],
+    ["solve", "--delta", "0.1", "--notion", "add"],
+    ["delta-solve", "--delta", "0.2"],
+    ["linear"],
+    ["linear", "--separable"],
+    ["verify", "--action", "1", "--delta", "0.1"],
+    ["transform", "--delta", "0.1", "--to", "ir"],
+    ["transform", "--delta", "0.25", "--to", "ic"],
+]
+
+
+@settings(max_examples=200)
+@given(data=st.data())
+def test_fuzzed_json_keeps_exit_code_contract(data):
+    # exit 0, 2, 3 or 4 on any instance and contract JSON, never an uncaught exception
+    instance = _mutate(data.draw, data.draw(_instances()))
+    contract = _mutate(data.draw, data.draw(_contracts()))
+    command = data.draw(st.sampled_from(_COMMANDS))
+    with tempfile.TemporaryDirectory() as tmp:
+        inst, con = os.path.join(tmp, "inst.json"), os.path.join(tmp, "con.json")
+        with open(inst, "w") as fh:
+            fh.write(json.dumps(instance))
+        with open(con, "w") as fh:
+            fh.write(json.dumps(contract))
+        argv = [command[0], "--instance", inst, *command[1:]]
+        if command[0] in ("verify", "transform"):
+            argv += ["--contract", con]
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err), warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            code = cli.main(argv)
+    assert code in (0, 2, 3, 4), err.getvalue()
+    assert "Traceback" not in err.getvalue()
+    if code in (2, 4):
+        assert out.getvalue() == ""

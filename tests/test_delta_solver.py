@@ -17,6 +17,7 @@ from contract_forge.model import (
     verify_delta_ic,
 )
 from contract_forge.oracle import SeparationInstance, min_ratio_bruteforce
+from tests.conftest import SCALES, rescaled
 
 
 def _random_product(rng, n, m):
@@ -186,12 +187,12 @@ def test_twin_of_cheaper_action_takes_base_payment():
     assert verify_delta_ic(setting, res.contract, 1, 0.1, MULTIPLICATIVE, tol=1e-9)
 
 
-@pytest.mark.parametrize("k", [1e-12, 1e-9, 1e-6, 1e6, 1e12])
+@pytest.mark.parametrize("k", SCALES)
 def test_opt_contract_delta_scale_invariant(k):
     # the winner and its contract do not depend on the unit of money
     for seed in range(20):
         base = gen_random(4, 8, seed)
-        scaled = ProductSetting(costs=k * base.costs, rewards=k * base.rewards, probs=base.probs)
+        scaled = rescaled(base, k)
         want, got = opt_contract_delta(base, 0.1), opt_contract_delta(scaled, 0.1)
         assert got.action == want.action, f"seed {seed}"
         assert got.payoff == pytest.approx(k * want.payoff, rel=1e-6, abs=1e-12 * k), f"seed {seed}"

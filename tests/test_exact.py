@@ -22,7 +22,7 @@ from contract_forge.exact import (
     min_payment,
     opt_contract,
 )
-from tests.conftest import scipy_min_payment
+from tests.conftest import SCALES, rescaled, scipy_min_payment
 
 
 def test_single_action_costs_nothing():
@@ -172,13 +172,13 @@ def test_product_setting_routed_through_enumeration():
     assert a.action == b.action
 
 
-@pytest.mark.parametrize("k", [1e-9, 1e-6, 1e3, 1e6, 1e9])
+@pytest.mark.parametrize("k", SCALES)
 def test_min_payment_scale_invariant(k):
     # the package's own unscaled answer is the reference: HiGHS itself is
     # wrong on some of these settings at small scales
     for seed in range(20):
         base = g.gen_random(4, 6, seed)
-        scaled = ProductSetting(costs=k * base.costs, rewards=k * base.rewards, probs=base.probs)
+        scaled = rescaled(base, k)
         for action in range(4):
             want = min_payment(base, action).expected_payment
             got = min_payment(scaled, action).expected_payment
@@ -190,12 +190,12 @@ def test_min_payment_scale_invariant(k):
                 )
 
 
-@pytest.mark.parametrize("k", [1e-12, 1e-9, 1e-6, 1e6, 1e12])
+@pytest.mark.parametrize("k", SCALES)
 def test_opt_contract_scale_invariant(k):
     # the winner and its contract do not depend on the unit of money
     for seed in range(40):
         base = g.gen_random(4, 8, seed)
-        scaled = ProductSetting(costs=k * base.costs, rewards=k * base.rewards, probs=base.probs)
+        scaled = rescaled(base, k)
         want, got = opt_contract(base), opt_contract(scaled)
         assert got.action == want.action, f"seed {seed}"
         assert got.payoff == pytest.approx(k * want.payoff, rel=1e-6, abs=1e-12 * k), f"seed {seed}"

@@ -24,6 +24,7 @@ from contract_forge.model import (
     verify_delta_ic,
 )
 from contract_forge.exact import first_best
+from tests.conftest import SCALES, rescaled
 
 
 def test_single_action_envelope():
@@ -283,12 +284,12 @@ def test_separable_lps_survive_phase1_roundoff():
     assert payoff == pytest.approx(best, abs=1e-6)
 
 
-@pytest.mark.parametrize("k", [1e-9, 1e-6, 1e3, 1e6, 1e9])
+@pytest.mark.parametrize("k", SCALES)
 def test_optimal_separable_scale_invariant(k):
     # the package's own unscaled answer is the reference, as for exact.min_payment
     for seed in range(20):
         base = gen_random(4, 6, seed)
-        scaled = ProductSetting(costs=k * base.costs, rewards=k * base.rewards, probs=base.probs)
+        scaled = rescaled(base, k)
         want_pay, want_action, want = optimal_separable(base)
         got_pay, got_action, got = optimal_separable(scaled)
         assert got_action == want_action, f"seed {seed}"
@@ -296,12 +297,12 @@ def test_optimal_separable_scale_invariant(k):
         np.testing.assert_allclose(got_pay, k * np.array(want_pay), rtol=1e-6, atol=1e-12 * k)
 
 
-@pytest.mark.parametrize("k", [1e-12, 1e-9, 1e-6, 1e6, 1e12])
+@pytest.mark.parametrize("k", SCALES)
 def test_optimal_linear_scale_invariant(k):
     # delta is additive, so it takes the unit of money too
     for seed in range(40):
         base = gen_random(6, 4, seed)
-        scaled = ProductSetting(costs=k * base.costs, rewards=k * base.rewards, probs=base.probs)
+        scaled = rescaled(base, k)
         for delta in (0.0, 0.05):
             want_alpha, want_action, want = optimal_linear(base, delta)
             got_alpha, got_action, got = optimal_linear(scaled, k * delta)

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from contract_forge.errors import InputError, ResourceError
+from contract_forge.generators import gen_random
 from contract_forge.lpcore import (
     EQUAL,
     GREATER,
@@ -13,6 +14,7 @@ from contract_forge.lpcore import (
     LPConfig,
     solve_lp,
 )
+from contract_forge.oracle import ratio_front
 
 
 def test_min_x_at_least_one():
@@ -225,3 +227,28 @@ def test_deterministic_repeat():
     assert s1.objective_value == s2.objective_value
     assert np.array_equal(s1.primal, s2.primal)
     assert s1.iterations == s2.iterations
+
+
+def test_front_lp_right_side_in_large_units():
+    # exact.min_payment's LP with its right side (cost gaps) x1e9: the answer
+    # scales with it, so no tolerance may be absolute in the rhs's unit
+    for seed in range(60):
+        setting = gen_random(4, 8, seed)
+        for action in range(4):
+            rivals = np.arange(4) != action
+            front = ratio_front(setting.probs[rivals], setting.probs[action])
+            bounds = setting.costs[rivals] - setting.costs[action]
+            sols = [
+                solve_lp(LinearProgram(
+                    objective=np.ones(len(front.outcomes)),
+                    rows=front.ratios - 1.0,
+                    relations=[LESS] * 3,
+                    rhs=k * bounds,
+                ))
+                for k in (1.0, 1e9)
+            ]
+            assert sols[1].status == sols[0].status, f"seed {seed} action {action}"
+            if sols[0].status == OPTIMAL:
+                assert sols[1].objective_value == pytest.approx(
+                    1e9 * sols[0].objective_value, rel=1e-9, abs=1e-3
+                ), f"seed {seed} action {action}"

@@ -27,7 +27,9 @@ from contract_forge import (
 )
 from contract_forge.errors import CapacityError
 from contract_forge.generators import gen_random
+from contract_forge.exact import min_payment
 from contract_forge.oracle import SeparationInstance
+from tests.conftest import SCALES, rescaled
 
 
 @pytest.fixture
@@ -330,3 +332,47 @@ def test_json_non_finite_literals_rejected(tmp_path):
         load = m.load_setting if name == "setting.json" else m.load_contract
         with pytest.raises(InputError):
             load(str(path))
+
+
+@pytest.mark.parametrize("k", SCALES)
+def test_best_response_scale_invariant(k):
+    # ties are judged in units of the largest expected reward, not absolutely
+    for seed in range(40):
+        base = gen_random(4, 8, seed)
+        scaled = rescaled(base, k)
+        for alpha in (0.1, 0.3, 0.5, 0.7):
+            want = best_response(base, Linear(alpha=alpha))
+            got = best_response(scaled, Linear(alpha=alpha))
+            assert got.action == want.action, f"seed {seed} alpha {alpha}"
+            assert got.payoff == pytest.approx(k * want.payoff, rel=1e-9)
+
+
+@pytest.mark.parametrize("k", [1e-6, 1e-9])
+def test_verify_rejects_half_paid_contract_in_small_units(k):
+    # halving the cheapest IC contract's payments misses IC by half the cost
+    # gap, a large share of the unit however small the unit is
+    checked = 0
+    for seed in range(10):
+        scaled = rescaled(gen_random(3, 5, seed), k)
+        for action in (1, 2):
+            res = min_payment(scaled, action)
+            if res.contract is None or res.expected_payment < 0.05 * k:
+                continue
+            half = Sparse(payments={s: p / 2 for s, p in res.contract.payments.items()})
+            assert verify_delta_ic(scaled, res.contract, action, 0.0, "mult")
+            assert not verify_delta_ic(scaled, half, action, 0.0, "mult"), f"seed {seed}"
+            # the tolerance min_payment_delta checks its own answers with
+            assert not verify_delta_ic(scaled, half, action, 0.0, "mult", tol=1e-5), f"seed {seed}"
+            checked += 1
+    assert checked >= 5
+
+
+@pytest.mark.parametrize("k", [1e9, 1e12])
+def test_zero_welfare_settings_accepted_in_large_units(k):
+    # costs equal to the expected rewards: welfare 0 up to roundoff, which
+    # grows with the unit of money
+    rng = np.random.default_rng(0)
+    for _ in range(500):
+        probs = rng.uniform(size=(3, 8))
+        rewards = rng.uniform(size=8)
+        ProductSetting(costs=k * (probs @ rewards), rewards=k * rewards, probs=probs)

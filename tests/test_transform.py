@@ -19,6 +19,7 @@ from contract_forge.model import (
     verify_delta_ic,
 )
 from contract_forge.transform import delta_to_ic, delta_to_ir, designated_action
+from tests.conftest import SCALES, rescaled
 
 
 def random_sparse(setting, rng, max_pay=0.8):
@@ -157,3 +158,20 @@ def test_ir_random_sweep():
             assert ic_slack(setting, lifted, action, delta) >= -1e-9
             assert agent_utility(setting, action, lifted) >= -1e-9
             assert principal_payoff(setting, action, lifted) >= payoff - delta - 1e-9
+
+
+@pytest.mark.parametrize("k", SCALES)
+def test_designated_action_scale_invariant(k):
+    # delta is additive, so it takes the unit of money too. delta_to_ic is not
+    # tested this way: its payoff guarantee holds on normalized settings only.
+    rng = np.random.default_rng(5)
+    for seed in range(40):
+        base = gen_random(4, 6, seed)
+        scaled = rescaled(base, k)
+        contract = random_sparse(base, rng)
+        big = Sparse(payments={s: k * p for s, p in contract.payments.items()})
+        for delta in (0.0, 0.05, 0.2, 0.5):
+            want_action, want = designated_action(base, contract, delta)
+            got_action, got = designated_action(scaled, big, k * delta)
+            assert got_action == want_action, f"seed {seed} delta {delta}"
+            assert got == pytest.approx(k * want, rel=1e-9, abs=1e-12 * k)
