@@ -2,15 +2,19 @@
 """Measure the bucketing oracle against brute force on random instances.
 
 Prints one CSV row per instance: exact minimum ratio, bucketed ratio, their
-quotient (never above 1+eps), and the largest representative family kept
-along the way next to its worst-case budget. Large m makes brute force the
-bottleneck; the bucketed route keeps going.
+quotient (never above 1+eps), the largest representative family kept
+along the way next to its worst-case budget, and the bucketed call's wall
+time (millis) and tracemalloc peak (peak_kb, from a second, traced call).
+Large m makes brute force the bottleneck; the bucketed route keeps going.
+
+    PYTHONPATH=src python3 scripts/fptas_quality.py --n 2 --m 14 --count 5
 """
 
 import argparse
 import csv
 import sys
 import time
+import tracemalloc
 
 import numpy as np
 
@@ -41,7 +45,7 @@ def main():
 
     rng = np.random.default_rng(args.seed)
     writer = csv.writer(sys.stdout, lineterminator="\n")
-    writer.writerow(["trial", "exact", "bucketed", "quotient", "max_family", "budget", "millis"])
+    writer.writerow(["trial", "exact", "bucketed", "quotient", "max_family", "budget", "millis", "peak_kb"])
     worst = 0.0
     for trial in range(args.count):
         inst = random_instance(rng, args.n, args.m)
@@ -49,6 +53,10 @@ def main():
         start = time.perf_counter()
         approx, stats = min_ratio_fptas_stats(inst, args.eps)
         millis = 1000.0 * (time.perf_counter() - start)
+        tracemalloc.start()
+        min_ratio_fptas_stats(inst, args.eps)
+        peak_kb = tracemalloc.get_traced_memory()[1] / 1024.0
+        tracemalloc.stop()
         quotient = approx.ratio / exact if exact > 0 else 1.0
         worst = max(worst, quotient)
         writer.writerow(
@@ -60,6 +68,7 @@ def main():
                 max(stats.family_counts),
                 stats.family_budget,
                 "%.3f" % millis,
+                "%.1f" % peak_kb,
             ]
         )
     print(f"worst quotient {worst:.6f} (allowed {1 + args.eps})", file=sys.stderr)

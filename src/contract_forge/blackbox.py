@@ -33,7 +33,8 @@ from .errors import CapacityError, InputError
 from .exact import opt_contract
 from .model import (
     ADDITIVE,
-    M_MAX_ENUMERATE,
+    MAX_ITEMS,
+    PARTIALS_CAP,
     ExplicitSetting,
     ProductSetting,
     Setting,
@@ -49,10 +50,6 @@ ETA_MAX_NEGATIVE_PAIR = 1.0 / 625.0
 # QueryOracle.query draws its uniforms this many rows at a time, so its
 # temporaries stay bounded however many queries are asked for.
 QUERY_BLOCK_ROWS = 1 << 12
-# Most partial outcomes QueryOracle.sample_counts keeps live at once.
-PARTIALS_CAP = 1 << M_MAX_ENUMERATE
-# Most items a sampled product setting may have: outcomes are int64 bitmasks.
-MAX_ITEMS = 63
 
 
 def required_samples(n: int, eta: float, eps: float, gamma: float) -> int:

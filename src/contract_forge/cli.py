@@ -366,9 +366,11 @@ def _read_formula(args):
 
 
 def cmd_verify(args) -> int:
+    tol = TOL_IC if args.tol is None else args.tol
+    if not (math.isfinite(tol) and tol >= 0.0):
+        raise InputError(f"--tol must be a finite nonnegative number, got {tol}")
     setting = _load_setting(args)
     contract = _load_contract(args.contract, setting)
-    tol = TOL_IC if args.tol is None else args.tol
     slack = ic_slack(setting, contract, args.action, args.delta, args.notion)
     ok = slack >= -tol * money_unit(setting)
     result = {

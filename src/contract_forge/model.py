@@ -462,6 +462,13 @@ M_MAX_ENUMERATE = 20
 # gen_random settings (n=6..20 with m=40 or 80, n=4 with m=100) took 0.4-2 s
 # on one Xeon thread and under 45 MB peak RSS; twice the cap took up to 8 s.
 FRONT_CAP = 1 << 12
+# Most partial outcomes kept live at once by the sampler
+# (blackbox.QueryOracle.sample_counts) and by the separation oracle
+# (oracle.min_ratio_fptas) after each item.
+PARTIALS_CAP = 1 << M_MAX_ENUMERATE
+# Most items a product may have where outcomes are int64 bitmasks: the
+# sampler's and the separation oracle's.
+MAX_ITEMS = 63
 
 
 def all_subset_probabilities(probs: np.ndarray) -> np.ndarray:

@@ -12,7 +12,10 @@ reference probability. Enumeration is exponential in the item count; the
 FPTAS runs one pass over items, keeping one representative partial solution
 per family of partials whose marginals agree within a factor
 bucket = (1+eps)^(1/2m) under every distribution, which guarantees a final
-ratio within (1+eps) of the true minimum.
+ratio within (1+eps) of the true minimum. It keeps at most
+model.PARTIALS_CAP = 2^20 partials after each item (random rows pass that
+after 20 items) and takes at most model.MAX_ITEMS = 63 items, the width of
+its int64 outcome bitmasks; past either it raises CapacityError.
 """
 
 from __future__ import annotations
@@ -24,11 +27,14 @@ from typing import List, Tuple
 import numpy as np
 
 from .errors import CapacityError, InputError
-from .model import FRONT_CAP, ArrayFields, all_subset_probabilities, read_only_array
-
-# int64 sentinel marking an exactly-zero marginal (its own bucket class)
-_ZERO_BUCKET = np.iinfo(np.int64).min
-
+from .model import (
+    FRONT_CAP,
+    MAX_ITEMS,
+    PARTIALS_CAP,
+    ArrayFields,
+    all_subset_probabilities,
+    read_only_array,
+)
 
 @dataclass(frozen=True, eq=False)
 class SeparationInstance(ArrayFields):
@@ -195,39 +201,69 @@ def min_ratio_fptas(inst: SeparationInstance, eps: float) -> OracleResult:
 
 
 def min_ratio_fptas_stats(inst: SeparationInstance, eps: float) -> Tuple[OracleResult, FptasStats]:
-    """Bucketing dynamic program; returned ratio is within (1+eps) of optimal."""
+    """Bucketing dynamic program; returned ratio is within (1+eps) of optimal.
+
+    Of the partials sharing a bucket under every distribution the one formed
+    first is kept. More than model.MAX_ITEMS items, or more than
+    model.PARTIALS_CAP partials kept after an item, raise CapacityError.
+    """
     _check_eps(eps)
     m = inst.m
+    if m > MAX_ITEMS:
+        raise CapacityError(f"{m} items do not fit a 64-bit outcome bitmask")
     rows = np.vstack([inst.mixtures, inst.reference])
     d = rows.shape[0]
     log_bucket = math.log((1.0 + eps)) / (2.0 * m)  # ln of the bucket factor
 
     masks = np.zeros(1, dtype=np.int64)
-    probs = np.ones((1, d))
+    probs = np.ones((d, 1))  # one column per partial
     counts: List[int] = []
     for j in range(m):
-        q = rows[:, j]
-        masks = np.concatenate([masks, masks | np.int64(1 << j)])
-        probs = np.vstack([probs * (1.0 - q), probs * q])
-        keys = np.full(probs.shape, _ZERO_BUCKET, dtype=np.int64)
-        pos = probs > 0.0
-        # anchor: probability 1 -> bucket 0, indices descend as probs shrink
-        keys[pos] = np.floor(np.log(probs[pos]) / log_bucket).astype(np.int64)
-        _, first = np.unique(keys, axis=0, return_index=True)
-        first.sort()  # keep insertion order stable for determinism
-        masks = masks[first]
-        probs = probs[first]
+        q = rows[:, j : j + 1]
+        k = len(masks)
+        # partials without item j, then with it; each temporary is freed before
+        # the next is made, so about three copies of the grown family are live
+        grown = np.empty((d, 2 * k))
+        np.multiply(probs, 1.0 - q, out=grown[:, :k])
+        np.multiply(probs, q, out=grown[:, k:])
+        del probs
+        # anchor: probability 1 -> bucket 0, indices descend as probs shrink;
+        # bucket indices are whole floats, and a zero marginal's -inf is a
+        # bucket of its own
+        with np.errstate(divide="ignore"):
+            keys = np.log(grown)
+        keys /= log_bucket
+        np.floor(keys, out=keys)
+        # a stable sort lists each bucket's partials in the order they were
+        # formed; the first of each is kept
+        order = np.lexsort(keys)
+        changed = np.zeros(len(order), dtype=bool)
+        changed[0] = True
+        ranked = np.empty(len(order))
+        for row in keys:
+            np.take(row, order, out=ranked, mode="clip")  # "raise" would fill a buffer first
+            changed[1:] |= ranked[1:] != ranked[:-1]
+        del keys, row, ranked
+        first = np.sort(order[changed])
+        del order, changed
+        if len(first) > PARTIALS_CAP:
+            raise CapacityError(
+                f"the separation oracle kept more than {PARTIALS_CAP} partials at item {j} of {m}"
+            )
+        masks = np.concatenate([masks, masks | np.int64(1 << j)])[first]
+        probs = grown[:, first]
+        del grown
         counts.append(len(first))
 
+    probs = np.ascontiguousarray(probs.T)  # row-major: each weighted sum is one row's dot product
     ref = probs[:, -1]
     valid = ref > 0.0
     if not valid.any():
         raise InputError("reference distribution assigns zero to every outcome")
-    num = probs[:, :-1] @ inst.weights
-    ratios = num[valid] / ref[valid]
-    cand_masks = masks[valid]
+    ratios = (probs[:, :-1] @ inst.weights)[valid]
+    ratios /= ref[valid]
     best_ratio = ratios.min()
-    best_mask = int(cand_masks[ratios == best_ratio].min())
+    best_mask = int(masks[valid][ratios == best_ratio].min())
     t, budget = bucket_count_bound(inst, eps)
     return (
         OracleResult(outcome=best_mask, ratio=float(best_ratio)),

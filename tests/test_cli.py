@@ -144,6 +144,19 @@ def test_verify_failure_exits_3(tmp_path, capsys):
     assert "verify:" in err
 
 
+@pytest.mark.parametrize("tol", ["nan", "-1"])
+def test_verify_bad_tol_exits_2(tmp_path, capsys, tol):
+    inst = tmp_path / "inst.json"
+    inst.write_text(dumps(gen_random(3, 4, 0)))
+    con = tmp_path / "con.json"
+    con.write_text('{"kind": "linear", "alpha": 0.3}')
+    argv = ["verify", "--instance", str(inst), "--contract", str(con), "--action", "0"]
+    code, _, _ = run(capsys, argv)
+    assert code == 0
+    code, out, err = run(capsys, argv + ["--tol", tol])
+    assert code == 2 and out == "" and "--tol" in err
+
+
 def test_delta_solve_trace(tmp_path, capsys):
     inst = tmp_path / "gap.json"
     trace = tmp_path / "trace.csv"
@@ -315,6 +328,35 @@ def test_exit_codes(tmp_path, capsys):
     assert code == 4 and out == "" and "Traceback" not in err
     code, _, _ = run(capsys, ["gen", "gap", "--c", "2", "--gamma", "0.1", "--contract-out", str(tmp_path / "x.json")])
     assert code == 2
+
+
+def _separation_json(probs):
+    """The separation instance of a two-action product: action 0 against action 1."""
+    return {"kind": "separation", "weights": [1.0], "mixtures": [probs[0]], "reference": probs[1]}
+
+
+_SEVENTY = [[0.5] * 70, [0.6] * 70]
+
+
+@pytest.mark.parametrize(
+    "command,data",
+    [
+        # every partial of 0.5/0.5 items shares one bucket: one representative, 70 items
+        (["oracle"], _separation_json([[0.5] * 70, [0.5] * 70])),
+        (["delta-solve", "--delta", "0.1"],
+         {"kind": "product", "costs": [0.0, 0.1], "rewards": [1.0] * 70, "probs": _SEVENTY}),
+        # random rows merge almost no partials: past 2^20 representatives at item 20
+        (["oracle"], _separation_json(json.loads(dumps(gen_random(2, 22, 0)))["probs"])),
+        (["delta-solve", "--delta", "0.1"], json.loads(dumps(gen_random(2, 22, 0)))),
+    ],
+    ids=["oracle-70-items", "delta-solve-70-items", "oracle-random-m22", "delta-solve-random-m22"],
+)
+def test_oracle_capacity_exits_4(tmp_path, capsys, command, data):
+    inst = tmp_path / "inst.json"
+    inst.write_text(json.dumps(data))
+    code, out, err = run(capsys, [command[0], "--instance", str(inst), *command[1:]])
+    assert code == 4 and out == "" and "resource limit" in err
+    assert "Traceback" not in err
 
 
 def test_version_flag(capsys):

@@ -1,9 +1,14 @@
 import itertools
+import math
+import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from contract_forge import CapacityError, InputError
+from contract_forge.generators import gen_random
 from contract_forge.model import FRONT_CAP
 from contract_forge.oracle import (
     OracleResult,
@@ -134,6 +139,76 @@ def test_fptas_deterministic():
     a = min_ratio_fptas(inst, eps=0.3)
     b = min_ratio_fptas(inst, eps=0.3)
     assert a == b
+
+
+def unique_rows_fptas(inst, eps):
+    """The bucketing DP with np.unique over key rows, as a reference:
+    (outcome, ratio, family counts), the first-formed partial of each bucket
+    kept."""
+    rows = np.vstack([inst.mixtures, inst.reference])
+    log_bucket = math.log(1.0 + eps) / (2.0 * inst.m)
+    masks = np.zeros(1, dtype=np.int64)
+    probs = np.ones((1, rows.shape[0]))
+    counts = []
+    for j in range(inst.m):
+        q = rows[:, j]
+        masks = np.concatenate([masks, masks | np.int64(1 << j)])
+        probs = np.vstack([probs * (1.0 - q), probs * q])
+        keys = np.full(probs.shape, np.iinfo(np.int64).min, dtype=np.int64)
+        pos = probs > 0.0
+        keys[pos] = np.floor(np.log(probs[pos]) / log_bucket).astype(np.int64)
+        _, first = np.unique(keys, axis=0, return_index=True)
+        first.sort()
+        masks, probs = masks[first], probs[first]
+        counts.append(len(first))
+    valid = probs[:, -1] > 0.0
+    ratios = (probs[:, :-1] @ inst.weights)[valid] / probs[valid, -1]
+    best = ratios.min()
+    return int(masks[valid][ratios == best].min()), float(best), tuple(counts)
+
+
+_PROBABILITY = st.one_of(st.sampled_from([0.0, 1.0]), st.floats(0.01, 0.99))
+
+
+@st.composite
+def _separation_instances(draw):
+    n, m = draw(st.integers(2, 4)), draw(st.integers(1, 10))
+    probs = draw(st.lists(st.lists(_PROBABILITY, min_size=m, max_size=m), min_size=n, max_size=n))
+    weights = np.array(draw(st.lists(st.floats(0.1, 1.0), min_size=n - 1, max_size=n - 1)))
+    return SeparationInstance(weights=weights / weights.sum(), mixtures=probs[:-1], reference=probs[-1])
+
+
+@settings(max_examples=200)
+@given(inst=_separation_instances(), eps=st.sampled_from([0.01, 0.1, 1.0]))
+def test_fptas_matches_unique_rows_reference(inst, eps):
+    result, stats = min_ratio_fptas_stats(inst, eps)
+    assert (result.outcome, result.ratio, stats.family_counts) == unique_rows_fptas(inst, eps)
+
+
+def test_fptas_peak_memory():
+    # the relaxed benchmark's call: n=2, m=14, random rows keep about all
+    # 2^14 partials; holding the grown family (2^14 x 2 float64, 256 KiB)
+    # twice over plus the sort's index arrays stays under 1.5 MB
+    setting = gen_random(2, 14, 0)
+    inst = SeparationInstance(weights=(1.0,), mixtures=setting.probs[:1], reference=setting.probs[1])
+    min_ratio_fptas_stats(inst, 0.1)
+    tracemalloc.start()
+    try:
+        _, stats = min_ratio_fptas_stats(inst, 0.1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert stats.family_counts[-1] > 16000
+    assert peak < 1.5e6
+
+
+def test_fptas_capacity():
+    # every partial of 0.5/0.5 items shares one bucket, so only the bitmask width binds
+    fits = SeparationInstance(weights=(1.0,), mixtures=((0.5,) * 63,), reference=(0.5,) * 63)
+    assert min_ratio_fptas_stats(fits, 0.1)[1].family_counts == (1,) * 63
+    too_wide = SeparationInstance(weights=(1.0,), mixtures=((0.5,) * 64,), reference=(0.5,) * 64)
+    with pytest.raises(CapacityError):
+        min_ratio_fptas(too_wide, 0.1)
 
 
 def brute_front(mixtures, reference):
