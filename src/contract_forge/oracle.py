@@ -36,6 +36,7 @@ from .model import (
     read_only_array,
 )
 
+
 @dataclass(frozen=True, eq=False)
 class SeparationInstance(ArrayFields):
     weights: np.ndarray  # one nonnegative weight per mixture, summing to 1

@@ -335,7 +335,7 @@ def _separation_json(probs):
     return {"kind": "separation", "weights": [1.0], "mixtures": [probs[0]], "reference": probs[1]}
 
 
-_SEVENTY = [[0.5] * 70, [0.6] * 70]
+_RANDOM_22 = json.loads(dumps(gen_random(2, 22, 0)))
 
 
 @pytest.mark.parametrize(
@@ -344,10 +344,10 @@ _SEVENTY = [[0.5] * 70, [0.6] * 70]
         # every partial of 0.5/0.5 items shares one bucket: one representative, 70 items
         (["oracle"], _separation_json([[0.5] * 70, [0.5] * 70])),
         (["delta-solve", "--delta", "0.1"],
-         {"kind": "product", "costs": [0.0, 0.1], "rewards": [1.0] * 70, "probs": _SEVENTY}),
+         {"kind": "product", "costs": [0.0, 0.1], "rewards": [1.0] * 70, "probs": [[0.5] * 70, [0.6] * 70]}),
         # random rows merge almost no partials: past 2^20 representatives at item 20
-        (["oracle"], _separation_json(json.loads(dumps(gen_random(2, 22, 0)))["probs"])),
-        (["delta-solve", "--delta", "0.1"], json.loads(dumps(gen_random(2, 22, 0)))),
+        (["oracle"], _separation_json(_RANDOM_22["probs"])),
+        (["delta-solve", "--delta", "0.1"], _RANDOM_22),
     ],
     ids=["oracle-70-items", "delta-solve-70-items", "oracle-random-m22", "delta-solve-random-m22"],
 )
