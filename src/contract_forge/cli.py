@@ -423,7 +423,6 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=f"contract-forge {__version__}")
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--seed", type=int, default=0, help="base RNG seed (where used)")
-    common.add_argument("--tol", type=float, default=None, help="verify's slack tolerance, in units of the largest expected reward")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser(
@@ -436,12 +435,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(handler=cmd_solve)
 
     p = sub.add_parser(
-        "delta-solve", parents=[common], help="delta-IC solver via cutting planes"
+        "delta-solve", parents=[common], help="delta-IC solver by column generation"
     )
     p.add_argument("--instance", help="instance JSON ('-' or omit for stdin)")
     p.add_argument("--delta", type=float, required=True)
     p.add_argument("--action", type=int, default=None, help="target a single action")
-    p.add_argument("--trace", help="write the per-round cutting-plane trace CSV here")
+    p.add_argument("--trace", help="write the per-round column-generation trace CSV here")
     p.add_argument("--contract-out", help="also write the contract JSON here")
     p.set_defaults(handler=cmd_delta_solve)
 
@@ -474,7 +473,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--trials", type=int, default=1)
     p.set_defaults(handler=cmd_blackbox)
 
-    # gen takes --seed/--tol on the kind subparsers only: argparse lets a
+    # gen takes --seed on the kind subparsers only: argparse lets a
     # subparser's defaults clobber values the parent already parsed
     p = sub.add_parser("gen", help="instance generators")
     gen_sub = p.add_subparsers(dest="kind", required=True)
@@ -511,6 +510,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--action", type=int, required=True)
     p.add_argument("--delta", type=float, default=0.0)
     p.add_argument("--notion", default="add", choices=["mult", "add", "multiplicative", "additive"])
+    p.add_argument(
+        "--tol", type=float, default=None,
+        help="slack tolerance, in units of the largest expected reward",
+    )
     p.set_defaults(handler=cmd_verify)
 
     p = sub.add_parser("bench", parents=[common], help="solve a corpus, CSV timings")

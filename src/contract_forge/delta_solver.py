@@ -1,32 +1,27 @@
-"""Payment-minimizing delta-IC contracts via dual cutting planes.
+"""Payment-minimizing delta-IC contracts by column generation.
 
-Exact payment minimization needs one linear constraint per outcome, and a
-product setting has 2^m outcomes.  The workaround implemented here trades a
+Exact payment minimization needs one column per outcome, and a product
+setting has 2^m outcomes.  The workaround implemented here trades a
 multiplicative delta slack in the incentive constraints for polynomial running
-time.  Write the payment on outcome S as x_S / q_{target,S} and add a base
-payment b paid on every outcome.  The payment LP is then
+time.  It solves exact.payment_lp, the exact solver's LP, over a few columns:
+one rival per row, and per column an outcome S with its likelihood ratios
+r_{i,S} = q_{i,S} / q_{target,S}, paying y_S = q_{target,S} x_S.  The base
+column is the sure event (all ratios 1), so its row entry is -delta and its
+y is a base payment made on every outcome.
 
-    min (1+delta) (sum_S x_S + b)
-    s.t. sum_S ((1+delta) - r_{i,S}) x_S + delta b >= c_target - c_i  (i != target)
+Each round solves that LP over the base column and the outcomes found so
+far, and prices an outcome column with the row duals mu >= 0: its reduced
+cost 1 - mu . ((1+delta) - r_S) is negative exactly when the weights
+lambda = (1+delta) mu have lambda . r_S < (1+delta) (sum(lambda) - 1).  The
+approximate likelihood-ratio oracle (min_ratio_fptas with accuracy
+parameter delta) looks for such an outcome; it is added and the loop
+repeats.  When the oracle finds none, its guarantee makes lambda exactly
+feasible for the dual of the ordinary (delta=0) LP, so gamma_star, (1+delta)
+times the restricted minimum, is at most the exact IC minimum payment.  The
+contract is that last LP's primal: payments y_S / q_{target,S} and the base
+y, a multiplicatively delta-IC contract paying gamma_star / (1+delta).
 
-with r_{i,S} = q_{i,S} / q_{target,S}; its optimum is (1+delta) times the
-expected payment.  Its dual has one variable per rival action, one constraint
-lambda . ((1+delta) - r_S) <= 1+delta per outcome, and the row
-sum(lambda) <= (1+delta)/delta that comes from b.
-
-A single Kelley loop maximizes that dual: solve it over the outcomes found so
-far, ask the approximate likelihood-ratio oracle (min_ratio_fptas with
-accuracy parameter delta) for an outcome whose constraint the maximizer
-violates, add it and repeat.  When the oracle finds none, its guarantee makes
-the maximizer exactly feasible for the ordinary (delta=0) dual, so the dual
-value is at most the exact IC minimum payment.  The contract is read from the
-multipliers of that same last LP: they solve the payment LP restricted to the
-found outcomes, so the contract multiplicatively delta-incentivizes the target
-and pays the dual value over 1+delta, below the exact IC minimum with no
-search tolerance.
-
-The dual lives in n-1 dimensions, so n is capped small; the oracle cost grows
-with m and with 1/delta.
+The oracle cost grows with m, with 1/delta and with the number of actions.
 """
 
 from __future__ import annotations
@@ -38,8 +33,8 @@ from typing import Optional, Tuple
 import numpy as np
 
 from .errors import InputError, ResourceError
-from .exact import OptContractResult
-from .lpcore import LESS, LinearProgram, OPTIMAL, solve_lp
+from .exact import OptContractResult, payment_lp
+from .lpcore import OPTIMAL
 from .model import (
     MULTIPLICATIVE,
     TOL_TIE,
@@ -54,14 +49,12 @@ from .model import (
 )
 from .oracle import OracleResult, SeparationInstance, min_ratio_fptas
 
-MAX_ACTIONS = 6
-
 _MAX_ROUNDS = 500
 
 
 @dataclass(frozen=True)
 class TraceRow:
-    """One round of the cutting-plane loop."""
+    """One round of the column-generation loop."""
 
     iteration: int
     restricted_value: float
@@ -84,16 +77,16 @@ class DeltaSolveResult:
 
 
 class _Solver:
-    """Instance data and the cut pool of one cutting-plane loop."""
+    """Instance data and the column pool of one column-generation loop."""
 
     def __init__(self, setting: ProductSetting, action: int, delta: float):
         self.setting = setting
         self.delta = delta
         self.action = action
         self.others = [i for i in range(setting.n) if i != action]
-        self.obj = setting.costs[action] - setting.costs[self.others]
+        self.cost_gaps = setting.costs[self.others] - setting.costs[action]
         self.oracle_eps = min(delta, 1.0)
-        # cut pool: outcome bitmask -> (target probability, likelihood ratios over self.others)
+        # column pool: outcome bitmask -> (target probability, likelihood ratios over self.others)
         self.pool: dict[int, tuple[float, np.ndarray]] = {}
         # oracle answers by normalized weights; with two actions every query is the same
         self.answers: dict[tuple, OracleResult] = {}
@@ -106,27 +99,23 @@ class _Solver:
             raise ResourceError("separation returned an outcome the target never produces")
         self.pool[mask] = (q_ref, q[self.others] / q_ref)
 
-    def restricted_dual(self) -> tuple[float, np.ndarray, np.ndarray]:
-        """Max the dual over the pooled cuts and the base-payment row.
+    def restricted_lp(self) -> tuple[float, np.ndarray, np.ndarray]:
+        """exact.payment_lp over the base column and the pooled columns.
 
-        Returns the value, the maximizer and the row multipliers (one per
-        pooled outcome in pool order, then the base-payment row).
+        Returns (1+delta) times the minimum, the weights lambda = (1+delta) mu
+        built from the row duals mu >= 0, and the primal (base payment first,
+        then one expected payment per pooled outcome in pool order).
         """
-        one = 1.0 + self.delta
-        rows = [one - ratios for _, ratios in self.pool.values()]
-        rhs = [one] * len(rows)
-        rows.append(np.ones(len(self.others)))
-        rhs.append(one / self.delta)
-        lp = LinearProgram(
-            objective=self.obj, sense="max", rows=rows, relations=[LESS] * len(rows), rhs=rhs
-        )
-        sol = solve_lp(lp)
+        columns = [np.ones(len(self.others))] + [ratios for _, ratios in self.pool.values()]
+        sol = payment_lp(np.column_stack(columns), self.cost_gaps, self.delta, MULTIPLICATIVE)
         if sol.status != OPTIMAL:
-            raise ResourceError(f"restricted dual solve ended {sol.status}")
-        return float(sol.objective_value), np.maximum(sol.primal, 0.0), np.maximum(sol.dual, 0.0)
+            raise ResourceError(f"restricted payment LP ended {sol.status}")
+        one = 1.0 + self.delta
+        lam = one * np.maximum(-sol.dual, 0.0)
+        return one * sol.objective_value, lam, np.maximum(sol.primal, 0.0)
 
     def separate(self, lam: np.ndarray) -> tuple[Optional[int], float, float]:
-        """Look for a pooled-LP constraint violated at lam.
+        """Look for an outcome column with negative reduced cost at lam.
 
         Returns (outcome or None, exact ratio at the outcome, violation
         threshold).  No outcome means lam survives the oracle, which certifies
@@ -146,13 +135,13 @@ class _Solver:
             res = self.answers[weights] = min_ratio_fptas(inst, eps=self.oracle_eps)
         if res.ratio < threshold * (1.0 - 1e-12) and res.outcome not in self.pool:
             return res.outcome, res.ratio, threshold
-        # a pool outcome re-reported as violated is LP-tolerance noise, not a cut
+        # a pool outcome re-reported as priced in is LP-tolerance noise, not a cut
         return None, res.ratio, threshold
 
     def run(self) -> tuple[float, np.ndarray, np.ndarray]:
-        """Cut until the oracle passes the maximizer; returns the last LP's solution."""
+        """Add columns until the oracle prices none in; returns the last LP's solution."""
         for it in range(_MAX_ROUNDS):
-            value, lam, multipliers = self.restricted_dual()
+            value, lam, primal = self.restricted_lp()
             outcome, ratio, threshold = self.separate(lam)
             self.trace.append(
                 TraceRow(
@@ -166,16 +155,9 @@ class _Solver:
                 )
             )
             if outcome is None:
-                return value, lam, multipliers
+                return value, lam, primal
             self.add_cut(outcome)
         raise ResourceError(f"cut generation did not settle within {_MAX_ROUNDS} rounds")
-
-    def contract(self, multipliers: np.ndarray) -> Sparse:
-        """Payments from the restricted dual's multipliers."""
-        payments = {
-            mask: y / q_ref for (mask, (q_ref, _)), y in zip(self.pool.items(), multipliers)
-        }
-        return make_sparse(multipliers[-1] / self.delta, payments, unit=money_unit(self.setting))
 
 
 def min_payment_delta(setting: ProductSetting, action: int, delta: float) -> DeltaSolveResult:
@@ -188,8 +170,6 @@ def min_payment_delta(setting: ProductSetting, action: int, delta: float) -> Del
     """
     if not isinstance(setting, ProductSetting):
         raise InputError("min_payment_delta needs a product setting")
-    if setting.n > MAX_ACTIONS:
-        raise InputError(f"at most {MAX_ACTIONS} actions supported (cuts live per action pair)")
     if not (0 <= action < setting.n):
         raise InputError(f"action index {action} outside range [0, {setting.n})")
     if not (delta > 0.0):
@@ -206,8 +186,10 @@ def min_payment_delta(setting: ProductSetting, action: int, delta: float) -> Del
         )
 
     solver = _Solver(setting, action, delta)
-    value, lam, multipliers = solver.run()
-    contract = solver.contract(multipliers)
+    value, lam, primal = solver.run()
+    # the base payment y_0, then y_S / q_target,S per pooled outcome
+    payments = {mask: y / q_ref for (mask, (q_ref, _)), y in zip(solver.pool.items(), primal[1:])}
+    contract = make_sparse(primal[0], payments, unit=money_unit(setting))
     if not verify_delta_ic(setting, contract, action, delta, MULTIPLICATIVE, tol=1e-5):
         raise ResourceError("extracted contract failed the incentive check")
     return DeltaSolveResult(

@@ -7,7 +7,8 @@ no cost, so a product setting needs only the Pareto front of its ratio
 vectors (oracle.ratio_front), not its 2^m outcomes; an explicit setting
 uses each of its outcomes with q_{a,S} > 0. A product setting whose front
 passes model.FRONT_CAP is enumerated instead if it has at most
-model.M_MAX_ENUMERATE items.
+model.M_MAX_ENUMERATE items. delta_solver solves the same LP (payment_lp)
+over the outcome columns its separation oracle prices in.
 
 The LP is written in the setting's own unit of money; lpcore.solve_lp scales
 it. Picking the winning action counts payoffs within model.TOL_TIE money
@@ -23,7 +24,7 @@ from typing import TYPE_CHECKING, List, Optional, Union
 import numpy as np
 
 from .errors import CapacityError, InputError
-from .lpcore import INFEASIBLE, LESS, OPTIMAL, LinearProgram, solve_lp
+from .lpcore import INFEASIBLE, OPTIMAL, LPSolution, solve_lp
 from .model import (
     M_MAX_ENUMERATE,
     MULTIPLICATIVE,
@@ -83,16 +84,7 @@ def min_payment(
     outcomes, ratios = _ratio_columns(setting, action, rivals)
     if not np.isfinite(ratios).all():
         raise CapacityError(f"a likelihood ratio against action {action} overflows float64")
-    bounds = setting.costs[rivals] - setting.costs[action]
-    if notion == MULTIPLICATIVE:
-        rows = ratios - (1.0 + delta)
-    else:
-        rows = ratios - 1.0
-        bounds = bounds + delta
-    lp = LinearProgram(
-        objective=np.ones(len(outcomes)), rows=rows, relations=[LESS] * len(rows), rhs=bounds
-    )
-    sol = solve_lp(lp)
+    sol = payment_lp(ratios, setting.costs[rivals] - setting.costs[action], delta, notion)
     if sol.status == INFEASIBLE:
         return MinPaymentResult(
             action=action, expected_payment=math.inf, contract=None, status=NOT_IMPLEMENTABLE
@@ -111,6 +103,23 @@ def min_payment(
         contract=make_sparse(0.0, dict(zip(outcomes[paid], pay)), unit=money_unit(setting)),
         status=IMPLEMENTABLE,
     )
+
+
+def payment_lp(ratios: np.ndarray, cost_gaps: np.ndarray, delta: float, notion: str) -> LPSolution:
+    """Solve min sum_S y_S over columns of rivals-by-columns likelihood ratios.
+
+    y_S = q_{a,S} x_S is the target's expected payment on column S, and each
+    rival k's row keeps it from gaining by deviating: sum_S (r_{k,S} - (1+delta)) y_S
+    <= c_k - c_a for the multiplicative notion, sum_S (r_{k,S} - 1) y_S
+    <= c_k - c_a + delta for the additive one. A column of ratios 1 is the
+    sure event: a base payment made on every outcome.
+    """
+    if notion == MULTIPLICATIVE:
+        rows = ratios - (1.0 + delta)
+    else:
+        rows = ratios - 1.0
+        cost_gaps = cost_gaps + delta
+    return solve_lp(np.ones(ratios.shape[1]), rows, cost_gaps)
 
 
 def _ratio_columns(setting: Setting, action: int, rivals: np.ndarray):

@@ -20,7 +20,7 @@ from typing import List, Optional, Sequence, Tuple
 import numpy as np
 
 from .errors import InputError
-from .lpcore import LESS, OPTIMAL, LinearProgram, solve_lp
+from .lpcore import OPTIMAL, solve_lp
 from .model import TOL_TIE, Setting, _item_marginals, expected_rewards, is_normalized, money_unit
 
 
@@ -169,14 +169,7 @@ def optimal_separable(
     best = None
     for i in range(setting.n):
         rivals = np.arange(setting.n) != i
-        sol = solve_lp(
-            LinearProgram(
-                objective=marg[i],
-                rows=marg[rivals] - marg[i],
-                relations=[LESS] * (setting.n - 1),
-                rhs=costs[rivals] - costs[i] + delta,
-            )
-        )
+        sol = solve_lp(marg[i], marg[rivals] - marg[i], costs[rivals] - costs[i] + delta)
         if sol.status != OPTIMAL:
             continue
         payoff = float(rewards[i] - sol.objective_value)

@@ -29,6 +29,7 @@ import numpy as np
 from .errors import CapacityError, InputError
 from .model import (
     FRONT_CAP,
+    M_MAX_ENUMERATE,
     MAX_ITEMS,
     PARTIALS_CAP,
     ArrayFields,
@@ -160,12 +161,17 @@ def _dominated(points: np.ndarray) -> np.ndarray:
 
 
 def min_ratio_bruteforce(inst: SeparationInstance) -> OracleResult:
-    """Exact minimizer over all 2^m subsets; ties go to the lowest bitmask."""
-    if inst.m > 20:
-        raise InputError(f"m={inst.m} too large to enumerate (cap 20)")
+    """Exact minimizer over all 2^m subsets; ties go to the lowest bitmask.
+
+    More than model.M_MAX_ENUMERATE items raise CapacityError.
+    """
+    if inst.m > M_MAX_ENUMERATE:
+        raise CapacityError(
+            f"m={inst.m} items would enumerate 2^{inst.m} outcomes (cap {M_MAX_ENUMERATE})"
+        )
     probs = all_subset_probabilities(np.vstack([inst.mixtures, inst.reference]))
     ref = probs[-1]
-    num = inst.weights @ probs[:-1]
+    num = _weighted_sum(inst.weights, probs[:-1])
     valid = ref > 0.0
     if not valid.any():
         raise InputError("reference distribution assigns zero to every outcome")
@@ -173,6 +179,18 @@ def min_ratio_bruteforce(inst: SeparationInstance) -> OracleResult:
     ratios[valid] = num[valid] / ref[valid]
     best = int(np.argmin(ratios))  # first occurrence = lowest bitmask
     return OracleResult(outcome=best, ratio=float(ratios[best]))
+
+
+def _weighted_sum(weights: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """sum_l weights[l] * rows[l], added row by row in order, elementwise.
+
+    Unlike a BLAS product, whose blocking varies by kernel, the order of the
+    additions is fixed, so the sums are the same bits on every machine.
+    """
+    total = weights[0] * rows[0]
+    for weight, row in zip(weights[1:], rows[1:]):
+        total += weight * row
+    return total
 
 
 def bucket_count_bound(inst: SeparationInstance, eps: float) -> Tuple[int, int]:
@@ -256,12 +274,11 @@ def min_ratio_fptas_stats(inst: SeparationInstance, eps: float) -> Tuple[OracleR
         del grown
         counts.append(len(first))
 
-    probs = np.ascontiguousarray(probs.T)  # row-major: each weighted sum is one row's dot product
-    ref = probs[:, -1]
+    ref = probs[-1]
     valid = ref > 0.0
     if not valid.any():
         raise InputError("reference distribution assigns zero to every outcome")
-    ratios = (probs[:, :-1] @ inst.weights)[valid]
+    ratios = _weighted_sum(inst.weights, probs[:-1])[valid]
     ratios /= ref[valid]
     best_ratio = ratios.min()
     best_mask = int(masks[valid][ratios == best_ratio].min())

@@ -157,6 +157,14 @@ def test_verify_bad_tol_exits_2(tmp_path, capsys, tol):
     assert code == 2 and out == "" and "--tol" in err
 
 
+def test_tol_only_on_verify(tmp_path, capsys):
+    # --tol tunes verify's slack check; no other subcommand accepts it
+    inst = tmp_path / "inst.json"
+    inst.write_text(dumps(gen_random(3, 4, 0)))
+    code, out, err = run(capsys, ["solve", "--instance", str(inst), "--tol", "1e-3"])
+    assert code == 2 and out == "" and "--tol" in err
+
+
 def test_delta_solve_trace(tmp_path, capsys):
     inst = tmp_path / "gap.json"
     trace = tmp_path / "trace.csv"
@@ -348,8 +356,11 @@ _RANDOM_22 = json.loads(dumps(gen_random(2, 22, 0)))
         # random rows merge almost no partials: past 2^20 representatives at item 20
         (["oracle"], _separation_json(_RANDOM_22["probs"])),
         (["delta-solve", "--delta", "0.1"], _RANDOM_22),
+        # enumeration stops at model.M_MAX_ENUMERATE = 20 items
+        (["oracle", "--brute"], _separation_json([[0.5] * 21, [0.5] * 21])),
     ],
-    ids=["oracle-70-items", "delta-solve-70-items", "oracle-random-m22", "delta-solve-random-m22"],
+    ids=["oracle-70-items", "delta-solve-70-items", "oracle-random-m22", "delta-solve-random-m22",
+         "oracle-brute-21-items"],
 )
 def test_oracle_capacity_exits_4(tmp_path, capsys, command, data):
     inst = tmp_path / "inst.json"

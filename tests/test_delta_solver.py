@@ -144,9 +144,10 @@ def test_input_validation():
         min_payment_delta(setting, 1, delta=0.0)
     with pytest.raises(InputError):
         min_payment_delta(setting, 5, delta=0.1)
+    # no cap on the action count: the payment LP has one row per rival
     wide = gen_random(7, 3, seed=1)
-    with pytest.raises(InputError):
-        min_payment_delta(wide, 0, delta=0.1)
+    res = min_payment_delta(wide, 0, delta=0.1)
+    assert verify_delta_ic(wide, res.contract, 0, 0.1, MULTIPLICATIVE, tol=1e-9)
 
 
 def test_payoff_near_ic_optimum():

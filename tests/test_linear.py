@@ -12,7 +12,7 @@ from contract_forge.linear import (
     optimal_separable,
     upper_envelope,
 )
-from contract_forge.lpcore import INFEASIBLE, LESS, OPTIMAL, LinearProgram, solve_lp
+from contract_forge.lpcore import INFEASIBLE, OPTIMAL, solve_lp
 from contract_forge.model import (
     ADDITIVE,
     Linear,
@@ -270,9 +270,7 @@ def test_separable_lps_survive_phase1_roundoff():
     for i in range(setting.n):
         rivals = np.arange(setting.n) != i
         rows, rhs = marg[rivals] - marg[i], costs[rivals] - costs[i] + delta
-        sol = solve_lp(
-            LinearProgram(objective=marg[i], rows=rows, relations=[LESS] * len(rows), rhs=rhs)
-        )
+        sol = solve_lp(marg[i], rows, rhs)
         ref = linprog(marg[i], A_ub=rows, b_ub=rhs, bounds=[(0.0, None)] * setting.m, method="highs")
         if ref.status == 2:
             assert sol.status == INFEASIBLE, f"action {i}"

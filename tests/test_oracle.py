@@ -85,7 +85,7 @@ def test_validation_errors():
     big = SeparationInstance(
         weights=(1.0,), mixtures=((0.5,) * 21,), reference=(0.5,) * 21
     )
-    with pytest.raises(InputError):
+    with pytest.raises(CapacityError):
         min_ratio_bruteforce(big)
 
 
@@ -110,6 +110,23 @@ def test_fptas_within_guarantee_random():
             assert approx.ratio >= exact.ratio - 1e-12, f"trial {trial}"
             assert approx.ratio <= (1.0 + eps) * exact.ratio + 1e-12, f"trial {trial}"
             assert max(stats.family_counts) <= stats.family_budget
+
+
+def test_ratio_is_the_ordered_weighted_sum():
+    # sum_l w_l q_{l,S} / q_{ref,S} summed in mixture order, bit for bit, so
+    # the answer does not depend on how a BLAS kernel blocks a dot product
+    rng = np.random.default_rng(5)
+    for trial in range(20):
+        inst = _random_instance(rng, int(rng.integers(2, 7)), int(rng.integers(2, 10)))
+        for res in (min_ratio_bruteforce(inst), min_ratio_fptas(inst, eps=0.5)):
+            rows = np.vstack([inst.mixtures, inst.reference])
+            q = np.ones(len(rows))
+            for j in range(inst.m):
+                q = q * (rows[:, j] if res.outcome >> j & 1 else 1.0 - rows[:, j])
+            total = 0.0
+            for weight, q_l in zip(inst.weights, q[:-1]):
+                total += weight * q_l
+            assert res.ratio == total / q[-1], f"trial {trial}"
 
 
 def test_fptas_prunes_identical_items():
@@ -162,7 +179,8 @@ def unique_rows_fptas(inst, eps):
         masks, probs = masks[first], probs[first]
         counts.append(len(first))
     valid = probs[:, -1] > 0.0
-    ratios = (probs[:, :-1] @ inst.weights)[valid] / probs[valid, -1]
+    weighted = sum(w * probs[:, l] for l, w in enumerate(inst.weights))  # in mixture order
+    ratios = weighted[valid] / probs[valid, -1]
     best = ratios.min()
     return int(masks[valid][ratios == best].min()), float(best), tuple(counts)
 
