@@ -203,7 +203,9 @@ def estimate(oracle: QueryOracle, s: int) -> EmpiricalModel:
         raise InputError("need at least one query per action")
     hidden = oracle.hidden
     draws = [oracle.sample_counts(i, s) for i in range(hidden.n)]
-    outcomes = np.unique(np.concatenate([ids for ids, _ in draws]))
+    # sorted distinct ids by one sort; np.unique would import numpy.ma
+    outcomes = np.sort(np.concatenate([ids for ids, _ in draws]))
+    outcomes = outcomes[np.concatenate(([True], outcomes[1:] != outcomes[:-1]))]
     counts = np.zeros((hidden.n, outcomes.size), dtype=np.int64)
     for i, (ids, cnt) in enumerate(draws):
         counts[i, np.searchsorted(outcomes, ids)] = cnt

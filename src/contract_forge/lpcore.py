@@ -7,6 +7,13 @@ fast enough and fully deterministic. Exposes the primal values and one dual
 multiplier per row. The duals are nonpositive, and at an optimum
 dual @ b equals the objective value; a column's reduced cost is
 c_j - dual @ A[:, j], which column generation uses to price new columns.
+The duals are read from the slack columns, so every row has one.
+
+Phase 1. A row with b >= 0 starts with its +1 slack basic. Only a row with
+b < 0, flipped to read >=, gets an artificial, and phase 1 minimizes the
+sum of those artificials alone (Chvatal, Linear Programming, 1983). With no
+such row phase 1 is skipped, so an LP with c >= 0 and b >= 0 stops at x = 0
+without a pivot.
 
 Scaling. solve_lp divides the objective by its largest |entry| and the
 right-hand side by its largest |entry| (1 when all are 0), solves, and scales
@@ -72,18 +79,22 @@ def solve_lp(objective, rows, rhs) -> LPSolution:
     nx = c.size
     nr = a.shape[0]
 
-    # orient every row so b >= 0: a flipped row reads >= and its slack is -1
+    # orient every row so b >= 0: a flipped row reads >= and its slack is -1,
+    # so it starts with an artificial basic; every other row with its slack
     sign = np.where(b < 0, -1.0, 1.0)
+    flipped = np.flatnonzero(b < 0)
 
-    # tableau columns: structural | slack | artificial | rhs
+    # tableau columns: structural | slack | artificial (flipped rows) | rhs
     art_start = nx + nr
-    ncols = nx + 2 * nr + 1
+    ncols = art_start + flipped.size + 1
     t = np.zeros((nr + 1, ncols))
     t[:nr, :nx] = a * sign[:, None]
     t[:nr, nx:art_start] = np.diag(sign)
-    t[:nr, art_start:-1] = np.eye(nr)
+    t[flipped, art_start + np.arange(flipped.size)] = 1.0
     t[:nr, -1] = b * sign
-    basis = [art_start + k for k in range(nr)]
+    basis = list(range(nx, art_start))
+    for i, k in enumerate(flipped):
+        basis[k] = art_start + i
 
     iterations = [0]
 
@@ -126,15 +137,16 @@ def solve_lp(objective, rows, rhs) -> LPSolution:
             pivot(prow, int(j))
             t[:nr, -1] = np.maximum(t[:nr, -1], 0.0)
 
-    # phase 1: minimize the artificial sum (reduced costs: 0 - sum of rows on
-    # structural/slack columns, exactly 0 on artificial columns)
-    t[-1, :] = -t[:nr, :].sum(axis=0)
-    t[-1, art_start:-1] = 0.0
+    # phase 1: minimize the sum of the artificials (reduced costs: 0 - sum of
+    # their rows on structural/slack columns, exactly 0 on artificial columns)
     enterable = np.zeros(ncols - 1, dtype=bool)
     enterable[:art_start] = True
-    run_simplex(enterable, bounded=True)  # the artificial sum is bounded below by 0
-    if -t[-1, -1] > TOL_FEAS:
-        return LPSolution(INFEASIBLE, None, None, np.inf, iterations[0])
+    if flipped.size:
+        t[-1, :] = -t[flipped, :].sum(axis=0)
+        t[-1, art_start:-1] = 0.0
+        run_simplex(enterable, bounded=True)  # the artificial sum is bounded below by 0
+        if -t[-1, -1] > TOL_FEAS:
+            return LPSolution(INFEASIBLE, None, None, np.inf, iterations[0])
 
     # drive artificials out of the basis; every row has its own slack, so a
     # row with no pivot left has lost its entries to roundoff
@@ -159,12 +171,13 @@ def solve_lp(objective, rows, rhs) -> LPSolution:
     for k in range(nr):
         if basis[k] < nx:
             z[basis[k]] = t[k, -1]
-    # phase-2 duals: artificial costs are 0, so reduced_cost(art_k) = -y_k
-    y = -t[-1, art_start:-1]
+    # duals from the slack columns: slack k costs 0 and is sign_k times unit
+    # column k, so its reduced cost is -sign_k times the oriented row's dual,
+    # which is minus the dual of row k as written
     return LPSolution(
         status=OPTIMAL,
         primal=z * b_unit,
-        dual=y * sign * c_unit,
+        dual=-t[-1, nx:art_start] * c_unit,
         objective_value=0.0 - t[-1, -1] * c_unit * b_unit,  # 0.0 - turns -0.0 into 0.0
         iterations=iterations[0],
     )

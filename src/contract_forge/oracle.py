@@ -1,7 +1,8 @@
 """Likelihood ratios over item subsets: their Pareto front and the separation oracle.
 
 ratio_front keeps the subsets whose vectors of likelihood ratios
-q_{l,S} / q_{ref,S} are Pareto-minimal, in one pass over items;
+q_{l,S} / q_{ref,S} are Pareto-minimal, in one pass over items that runs
+the dominance filter only on items that can reshape the front;
 exact.min_payment solves its LP over those subsets alone.
 
 The separation problem, solved by enumeration and by a bucketing FPTAS:
@@ -107,6 +108,18 @@ def ratio_front(mixtures, reference) -> RatioFront:
     in. Of equal vectors the lowest bitmask is kept, except that a zero
     ratio can make a vector equal to one dropped before. More than
     model.FRONT_CAP points raise CapacityError.
+
+    Ordered items skip the filter. If an item's log-ratio step out of it is
+    at most its step into it under every rival (the reference realizes it
+    least often of all actions), each partial with the item is weakly
+    dominated by its twin without it: the front moves by the step out and
+    keeps its masks. In the reverse order (most often) it moves by the step
+    in and every mask takes the item. A translate keeps the order within
+    each coordinate, so the moved front needs no filter (maxima of vectors:
+    Kung, Luccio & Preparata, JACM 1975). It does not when rounding or a
+    zero ratio (-inf) merges two values of a coordinate, or rounds a pair of
+    twins to one vector (the filter keeps the twin without the item); such
+    items run the filter, so the result is the same bits either way.
     """
     mixtures = read_only_array(mixtures, 2, "mixtures")
     reference = read_only_array(reference, 1, "reference")
@@ -119,10 +132,25 @@ def ratio_front(mixtures, reference) -> RatioFront:
     masks = np.zeros(1, dtype=object)
     logs = np.zeros((1, len(mix)))
     for j, p in enumerate(ref):
+        out, into = log_out[:, j], log_in[:, j]
+        # an ordered item: one half of the grown front weakly dominates the
+        # other twin by twin; twins rounded to the same vector keep the one
+        # without j, so taking j needs every pair apart
+        if p == 0.0 or p < 1.0 and (out <= into).all():
+            step, bit = out, 0
+        elif p == 1.0 or (into <= out).all() and (logs + out != logs + into).any(axis=1).all():
+            step, bit = into, 1 << j
+        else:
+            step = None
+        if step is not None and _keeps_order(logs, step):
+            logs = logs + step
+            if bit:
+                masks = masks | bit
+            continue
         # the front stays in ascending bitmask order: partials without item j first
-        grown = [(logs + log_out[:, j], masks)] if p < 1.0 else []
+        grown = [(logs + out, masks)] if p < 1.0 else []
         if p > 0.0:
-            grown.append((logs + log_in[:, j], masks | (1 << j)))
+            grown.append((logs + into, masks | (1 << j)))
         logs = np.concatenate([part for part, _ in grown])
         masks = np.concatenate([part for _, part in grown])
         keep = ~_dominated(logs)
@@ -133,6 +161,17 @@ def ratio_front(mixtures, reference) -> RatioFront:
             )
     with np.errstate(over="ignore"):  # min_payment rejects an infinite ratio
         return RatioFront(outcomes=masks, ratios=np.exp(logs.T))
+
+
+def _keeps_order(points: np.ndarray, step: np.ndarray) -> bool:
+    """Whether points + step (one step per column) merges no two values of a column.
+
+    Rounding is monotone, so each sorted column moves to the sorted moved
+    column, and only neighbours can merge.
+    """
+    before = np.sort(points, axis=0)
+    after = before + step
+    return not ((after[1:] == after[:-1]) & (before[1:] != before[:-1])).any()
 
 
 def _dominated(points: np.ndarray) -> np.ndarray:

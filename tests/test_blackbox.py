@@ -1,10 +1,14 @@
 import json
 import math
+import os
+import subprocess
+import sys
 import tracemalloc
 
 import numpy as np
 import pytest
 
+import contract_forge
 from contract_forge import cli
 from contract_forge.blackbox import (
     QUERY_BLOCK_ROWS,
@@ -343,3 +347,43 @@ def test_query_blocks_match_one_draw():
     got = QueryOracle(hidden, seed=31).query(1, size)
     bits = np.random.default_rng(31).random((size, hidden.m)) < hidden.probs[1]
     np.testing.assert_array_equal(got, bits.astype(np.int64) @ (1 << np.arange(hidden.m)))
+
+
+@pytest.mark.parametrize(
+    "hidden,s",
+    [
+        (PIPELINE_SETTING, 300),
+        (gen_random(3, 4, 2), 50),
+        # every action sees the same single outcome
+        (ProductSetting(costs=(0.0, 0.1), rewards=(0.5, 0.5), probs=((1.0, 0.0), (1.0, 0.0))), 9),
+        (ExplicitSetting(costs=(0.0, 0.2), outcome_rewards=(0.1, 0.9, 0.4), dist=((0.5, 0.0, 0.5), (0.2, 0.3, 0.5))), 40),
+        (ExplicitSetting(costs=(0.0, 0.2), outcome_rewards=(0.3, 0.6), dist=((0.0, 1.0), (0.0, 1.0))), 5),
+    ],
+)
+def test_estimate_outcomes_are_the_unique_draws(hidden, s):
+    oracle = QueryOracle(hidden, seed=17)
+    draws = [oracle.sample_counts(i, s) for i in range(hidden.n)]
+    want = np.unique(np.concatenate([ids for ids, _ in draws]))
+    emp = estimate(QueryOracle(hidden, seed=17), s)
+    assert emp.outcomes == tuple(want.tolist())
+    for i, (ids, cnt) in enumerate(draws):
+        assert [emp.counts[i][emp.outcomes.index(o)] for o in ids.tolist()] == cnt.tolist()
+        assert sum(emp.counts[i]) == s
+
+
+def test_blackbox_leaves_numpy_ma_unimported():
+    # numpy.ma costs about a megabyte of memory the first time it is imported
+    code = (
+        "import sys\n"
+        "from contract_forge.blackbox import QueryOracle, blackbox_contract\n"
+        "from contract_forge.model import ProductSetting\n"
+        "hidden = ProductSetting(costs=(0.0, 0.1, 0.2), rewards=(0.2, 0.2, 0.2),\n"
+        "    probs=((0.2, 0.3, 0.4), (0.5, 0.5, 0.5), (0.8, 0.7, 0.6)))\n"
+        "blackbox_contract(QueryOracle(hidden, seed=1), 0.2, 0.1)\n"
+        "print('numpy.ma' in sys.modules)\n"
+    )
+    src = os.path.dirname(os.path.dirname(contract_forge.__file__))
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = dict(os.environ, PYTHONPATH=path)
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "False"

@@ -275,3 +275,15 @@ def test_twin_of_cheaper_action_not_implementable():
     assert min_payment(s, 2).status == NOT_IMPLEMENTABLE
     assert_matches_scipy(s, 2)
     assert_matches_scipy(s, 2, delta=0.1)
+
+
+def test_free_action_pays_exactly_zero():
+    # the cheapest action needs no contract: its LP's right side (the cost
+    # gaps) is nonnegative, so x = 0 is optimal with no pivot and no roundoff
+    for n, m in ((2, 3), (3, 5), (4, 4)):
+        for seed in range(60):
+            setting = g.gen_random(n, m, seed)
+            res = min_payment(setting, int(np.argmin(setting.costs)))
+            assert res.status == IMPLEMENTABLE, (n, m, seed)
+            assert res.expected_payment == 0.0 and math.copysign(1.0, res.expected_payment) == 1.0
+            assert res.contract.base == 0.0 and not res.contract.payments

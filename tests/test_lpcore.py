@@ -43,6 +43,24 @@ def test_redundant_rows():
     assert sol.primal.sum() == pytest.approx(1.0)
 
 
+def test_nonnegative_costs_and_rhs_stop_at_zero_without_pivots():
+    # every slack starts basic and no reduced cost is negative: x = 0 is
+    # optimal before any pivot, and phase 1 has no row to run on
+    rng = np.random.default_rng(8)
+    for _ in range(20):
+        nx, nr = rng.integers(1, 30), rng.integers(0, 6)
+        c = rng.uniform(0.0, 1.0, nx)
+        c[rng.uniform(size=nx) < 0.3] = 0.0
+        rows = rng.normal(size=(nr, nx))
+        rhs = rng.uniform(0.0, 1.0, nr)
+        rhs[rng.uniform(size=nr) < 0.3] = 0.0
+        sol = solve_lp(c, rows, rhs)
+        assert sol.status == OPTIMAL and sol.iterations == 0
+        assert sol.primal.tolist() == [0.0] * nx
+        assert sol.objective_value == 0.0 and not np.signbit(sol.objective_value)
+        assert sol.dual.tolist() == [0.0] * nr
+
+
 def test_unbounded():
     sol = solve_lp([-1.0], np.zeros((0, 1)), [])
     assert sol.status == UNBOUNDED

@@ -7,12 +7,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from contract_forge import CapacityError, InputError
+from contract_forge import CapacityError, InputError, oracle
 from contract_forge.generators import gen_random
 from contract_forge.model import FRONT_CAP
 from contract_forge.oracle import (
     OracleResult,
     SeparationInstance,
+    _dominated,
     bucket_count_bound,
     min_ratio_bruteforce,
     min_ratio_fptas,
@@ -325,3 +326,57 @@ def test_ratio_front_cap():
         ratio_front(mixtures, reference)
     with pytest.raises(InputError):
         ratio_front(mixtures[:, :12], reference)
+
+
+def filter_every_item(mixtures, reference):
+    """ratio_front's pass with the dominance filter run after every item.
+
+    The test reference for the translate shortcut: (outcomes, ratios).
+    """
+    mix = np.clip(np.asarray(mixtures, float), 0.0, 1.0)
+    ref = np.clip(np.asarray(reference, float), 0.0, 1.0)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        log_in = np.log(mix) - np.log(ref)
+        log_out = np.log1p(-mix) - np.log1p(-ref)
+    masks = np.zeros(1, dtype=object)
+    logs = np.zeros((1, len(mix)))
+    for j, p in enumerate(ref):
+        grown = [(logs + log_out[:, j], masks)] if p < 1.0 else []
+        if p > 0.0:
+            grown.append((logs + log_in[:, j], masks | (1 << j)))
+        logs = np.concatenate([part for part, _ in grown])
+        masks = np.concatenate([part for _, part in grown])
+        keep = ~_dominated(logs)
+        logs, masks = logs[keep], masks[keep]
+    with np.errstate(over="ignore"):
+        return masks, np.exp(logs.T)
+
+
+# 0 and 1 force items out or in and give zero ratios; repeats give ties and
+# items whose reference probability is the smallest or largest
+PROB_GRID = (0.0, 0.1, 0.25, 0.5, 0.75, 0.9, 1.0)
+
+
+@settings(max_examples=300)
+@given(st.integers(1, 5), st.integers(1, 10), st.data())
+def test_ratio_front_same_bits_as_filtering_every_item(n, m, data):
+    grid = st.lists(st.sampled_from(PROB_GRID), min_size=n * m, max_size=n * m)
+    probs = np.reshape(data.draw(grid), (n, m))
+    for action in range(n):
+        rivals = np.arange(n) != action
+        front = ratio_front(probs[rivals], probs[action])
+        masks, ratios = filter_every_item(probs[rivals], probs[action])
+        assert front.outcomes.tolist() == masks.tolist()
+        assert front.ratios.tobytes() == ratios.tobytes() and front.ratios.shape == ratios.shape
+
+
+def test_ratio_front_two_actions_one_point_without_filter(monkeypatch):
+    # with one rival every item is ordered: the front is one point, taking
+    # the items the rival realizes less often than the reference
+    mixtures, reference = [[0.2, 0.7, 0.4, 0.6]], [0.3, 0.5, 0.9, 0.8]
+    masks, ratios = filter_every_item(mixtures, reference)
+    monkeypatch.setattr(oracle, "_dominated", None)
+    front = ratio_front(mixtures, reference)
+    assert front.outcomes.tolist() == masks.tolist() == [0b1101]
+    assert front.ratios.tobytes() == ratios.tobytes()
+    assert front.ratios[0, 0] == pytest.approx((0.2 / 0.3) * (0.3 / 0.5) * (0.4 / 0.9) * (0.6 / 0.8))
