@@ -129,16 +129,19 @@ def ratio_front(mixtures, reference) -> RatioFront:
     with np.errstate(divide="ignore", invalid="ignore"):  # zero ratios are -inf
         log_in = np.log(mix) - np.log(ref)
         log_out = np.log1p(-mix) - np.log1p(-ref)
+        # ordered items: each partial without the item is at most its twin
+        # with it (drop), or the reverse (take); forced items are ordered too
+        drop = (ref == 0.0) | (ref < 1.0) & (log_out <= log_in).all(axis=0)
+        take = (ref == 1.0) | (log_in <= log_out).all(axis=0)
     masks = np.zeros(1, dtype=object)
     logs = np.zeros((1, len(mix)))
     for j, p in enumerate(ref):
         out, into = log_out[:, j], log_in[:, j]
-        # an ordered item: one half of the grown front weakly dominates the
-        # other twin by twin; twins rounded to the same vector keep the one
-        # without j, so taking j needs every pair apart
-        if p == 0.0 or p < 1.0 and (out <= into).all():
+        # twins rounded to the same vector keep the one without j, so taking
+        # j needs every pair apart
+        if drop[j]:
             step, bit = out, 0
-        elif p == 1.0 or (into <= out).all() and (logs + out != logs + into).any(axis=1).all():
+        elif take[j] and (p == 1.0 or (logs + out != logs + into).any(axis=1).all()):
             step, bit = into, 1 << j
         else:
             step = None
