@@ -66,6 +66,8 @@ def required_samples(n: int, eta: float, eps: float, gamma: float) -> int:
         raise InputError(f"eps must lie in (0, 1/2], got {eps}")
     if not 0.0 < gamma < 1.0:
         raise InputError(f"gamma must lie in (0, 1), got {gamma}")
+    if eta * gamma == 0.0 or eta * eps * eps == 0.0:
+        raise CapacityError(f"eta={eta} asks for more queries than float64 can count")
     count = 3.0 * math.log(2.0 * n / (eta * gamma)) / (eta * eps * eps)
     if not math.isfinite(count):
         raise CapacityError(f"eta={eta} asks for more queries than float64 can count")

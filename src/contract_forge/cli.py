@@ -1,11 +1,12 @@
 """Command-line front end.
 
 Subcommands: solve, delta-solve, linear, oracle, transform, blackbox, gen,
-verify, bench.  Instances and contracts travel as JSON (see docs/formats.md);
+verify.  Instances and contracts travel as JSON (see docs/formats.md);
 results go to stdout as JSON wrapped in a provenance envelope, experiment
 tables go to stdout as CSV with a '#'-prefixed provenance line, and anything
 meant for humans goes to stderr.  Exit codes: 0 ok, 2 bad input, 3 a
-verification or feasibility check failed, 4 resource limits.
+verification or feasibility check failed, 4 resource limits; stdout stays
+empty on 2 and 4.
 """
 
 from __future__ import annotations
@@ -15,7 +16,6 @@ import csv
 import json
 import math
 import sys
-import time
 from typing import Optional
 
 from . import __version__
@@ -50,7 +50,7 @@ from .model import (
     setting_from_dict,
     setting_to_dict,
 )
-from .oracle import min_ratio_bruteforce, min_ratio_fptas_stats, separation_from_dict
+from .oracle import min_ratio_fptas_stats, separation_from_dict
 from .transform import delta_to_ic, delta_to_ir
 
 
@@ -248,24 +248,16 @@ def cmd_linear(args) -> int:
 
 def cmd_oracle(args) -> int:
     inst = separation_from_dict(_read_json_source(args.instance))
-    if args.brute:
-        res = min_ratio_bruteforce(inst)
-        result = {
-            "method": "brute",
-            "outcome": outcome_to_items(res.outcome),
-            "ratio": res.ratio,
-        }
-    else:
-        res, stats = min_ratio_fptas_stats(inst, args.eps)
-        result = {
-            "method": "fptas",
-            "eps": args.eps,
-            "outcome": outcome_to_items(res.outcome),
-            "ratio": res.ratio,
-            "family_counts": list(stats.family_counts),
-            "family_budget": stats.family_budget,
-        }
-    _emit_result(args, "oracle", {"eps": args.eps, "brute": args.brute}, result)
+    res, stats = min_ratio_fptas_stats(inst, args.eps)
+    result = {
+        "method": "fptas",
+        "eps": args.eps,
+        "outcome": outcome_to_items(res.outcome),
+        "ratio": res.ratio,
+        "family_counts": list(stats.family_counts),
+        "family_budget": stats.family_budget,
+    }
+    _emit_result(args, "oracle", {"eps": args.eps}, result)
     return 0
 
 
@@ -294,16 +286,18 @@ def cmd_transform(args) -> int:
 def cmd_blackbox(args) -> int:
     setting = _load_setting(args)
     params = {"eps": args.eps, "gamma": args.gamma, "trials": args.trials}
-    print(_provenance_comment(args, "blackbox", params))
-    writer = csv.writer(sys.stdout, lineterminator="\n")
-    writer.writerow(["seed", "s", "ic_slack", "payoff", "opt"])
+    rows = []
     for trial in range(args.trials):
         seed = args.seed + trial
         res = blackbox_contract(QueryOracle(setting, seed=seed), args.eps, args.gamma)
         slack = ic_slack(setting, res.contract, res.action, res.claimed_delta)
-        writer.writerow(
+        rows.append(
             [seed, res.samples_per_action, repr(slack), repr(res.payoff_on_true), repr(res.opt_on_true)]
         )
+    print(_provenance_comment(args, "blackbox", params))
+    writer = csv.writer(sys.stdout, lineterminator="\n")
+    writer.writerow(["seed", "s", "ic_slack", "payoff", "opt"])
+    writer.writerows(rows)
     return 0
 
 
@@ -392,27 +386,6 @@ def cmd_verify(args) -> int:
     return 0
 
 
-def _bench_one(path: str, delta: float, notion: str) -> list:
-    with open(path) as fh:
-        setting = setting_from_dict(load_json(fh))
-    start = time.perf_counter()
-    solved = opt_contract(setting, delta=delta, notion=notion)
-    millis = (time.perf_counter() - start) * 1000.0
-    size = setting.m if hasattr(setting, "m") else setting.num_outcomes
-    return [path, setting.n, size, repr(first_best(setting)), repr(solved.payoff), solved.action, f"{millis:.3f}"]
-
-
-def cmd_bench(args) -> int:
-    params = {"delta": args.delta, "notion": args.notion}
-    print(_provenance_comment(args, "bench", params))
-    writer = csv.writer(sys.stdout, lineterminator="\n")
-    writer.writerow(["instance", "n", "size", "first_best", "payoff", "action", "millis"])
-    rows = [_bench_one(p, args.delta, args.notion) for p in args.instances]
-    for row in sorted(rows, key=lambda r: r[0]):
-        writer.writerow(row)
-    return 0
-
-
 # ---------------------------------------------------------------------------
 # Parser
 # ---------------------------------------------------------------------------
@@ -455,7 +428,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("oracle", parents=[common], help="likelihood-ratio separation oracle")
     p.add_argument("--instance", help="separation JSON ('-' or omit for stdin)")
     p.add_argument("--eps", type=float, default=0.1)
-    p.add_argument("--brute", action="store_true", help="exact enumeration instead of FPTAS")
     p.set_defaults(handler=cmd_oracle)
 
     p = sub.add_parser("transform", parents=[common], help="repair a delta-IC contract")
@@ -516,11 +488,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.set_defaults(handler=cmd_verify)
 
-    p = sub.add_parser("bench", parents=[common], help="solve a corpus, CSV timings")
-    p.add_argument("--instances", nargs="+", required=True)
-    p.add_argument("--delta", type=float, default=0.0)
-    p.add_argument("--notion", default="mult", choices=["mult", "add", "multiplicative", "additive"])
-    p.set_defaults(handler=cmd_bench)
     return parser
 
 

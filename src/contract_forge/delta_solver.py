@@ -33,15 +33,13 @@ from typing import Optional, Tuple
 import numpy as np
 
 from .errors import InputError, ResourceError
-from .exact import OptContractResult, payment_lp
+from .exact import OptContractResult, best_action, payment_lp
 from .lpcore import OPTIMAL
 from .model import (
     MULTIPLICATIVE,
-    TOL_TIE,
     ProductSetting,
     Sparse,
     expected_payment,
-    expected_rewards,
     make_sparse,
     money_unit,
     outcome_probabilities,
@@ -209,15 +207,4 @@ def opt_contract_delta(setting: ProductSetting, delta: float) -> OptContractResu
     The winning payoff is at least the exact IC optimum.  Per-action
     DeltaSolveResults ride along in per_action.
     """
-    results = [min_payment_delta(setting, i, delta) for i in range(setting.n)]
-    rewards = expected_rewards(setting)
-    payoffs = [float(rewards[i]) - res.expected_payment for i, res in enumerate(results)]
-    best = max(payoffs)
-    cutoff = best - TOL_TIE * money_unit(setting)
-    action = next(i for i, v in enumerate(payoffs) if v >= cutoff)
-    return OptContractResult(
-        payoff=payoffs[action],
-        action=action,
-        contract=results[action].contract,
-        per_action=results,
-    )
+    return best_action(setting, [min_payment_delta(setting, i, delta) for i in range(setting.n)])

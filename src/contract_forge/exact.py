@@ -145,16 +145,24 @@ def opt_contract(
 ) -> OptContractResult:
     """Best payoff over all (delta-)implementable actions; ties to lowest index."""
     per_action = [min_payment(setting, i, delta=delta, notion=notion) for i in range(setting.n)]
+    return best_action(setting, per_action)
+
+
+def best_action(
+    setting: Setting, per_action: Union[List[MinPaymentResult], List[DeltaSolveResult]]
+) -> OptContractResult:
+    """The action whose cheapest contract leaves the principal the most.
+
+    per_action[i] holds action i's expected_payment (inf if it cannot be
+    implemented) and contract.  Payoffs within model.TOL_TIE money units of
+    the best tie, and ties go to the lowest index.
+    """
     rewards = expected_rewards(setting)
-    payoffs = [
-        float(rewards[i]) - res.expected_payment if res.status == IMPLEMENTABLE else -math.inf
-        for i, res in enumerate(per_action)
-    ]
-    best = max(payoffs)
-    if best == -math.inf:
+    payoffs = [float(rewards[i]) - res.expected_payment for i, res in enumerate(per_action)]
+    cutoff = max(payoffs) - TOL_TIE * money_unit(setting)
+    winner = next(i for i, p in enumerate(payoffs) if p >= cutoff)
+    if payoffs[winner] == -math.inf:
         raise InputError("no action is implementable (free action missing?)")
-    cutoff = best - TOL_TIE * money_unit(setting)
-    winner = min(i for i, p in enumerate(payoffs) if p >= cutoff)
     return OptContractResult(
         payoff=payoffs[winner],
         action=winner,

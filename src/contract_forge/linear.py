@@ -119,10 +119,11 @@ def optimal_linear(setting: Setting, delta: float = 0.0) -> Tuple[float, int, fl
     return _pick_best(candidates, rewards, TOL_TIE * money_unit(setting))
 
 
-def _pick_best(
-    candidates: Sequence[Tuple[float, int, float]], rewards: np.ndarray, tol: float
-) -> Tuple[float, int, float]:
-    """Highest payoff wins; near-ties (within tol) go to the higher-reward action."""
+def _pick_best(candidates: Sequence[tuple], rewards: np.ndarray, tol: float) -> tuple:
+    """Highest payoff wins; near-ties (within tol) go to the higher-reward action.
+
+    Each candidate is (contract, action, payoff), in the order they are tried.
+    """
     best = candidates[0]
     for cand in candidates[1:]:
         if cand[2] > best[2] + tol:
@@ -165,24 +166,16 @@ def optimal_separable(
         raise InputError("delta must be nonnegative")
     rewards, costs = expected_rewards(setting), setting.costs
     marg = _item_marginals(setting)
-    tol = TOL_TIE * money_unit(setting)
-    best = None
+    candidates = []
     for i in range(setting.n):
         rivals = np.arange(setting.n) != i
         sol = solve_lp(marg[i], marg[rivals] - marg[i], costs[rivals] - costs[i] + delta)
-        if sol.status != OPTIMAL:
-            continue
-        payoff = float(rewards[i] - sol.objective_value)
-        candidate = (tuple(float(p) for p in sol.primal), i, payoff)
-        if best is None:
-            best = candidate
-            continue
-        _, j, best_payoff = best
-        if payoff > best_payoff + tol or (payoff >= best_payoff - tol and rewards[i] > rewards[j]):
-            best = candidate
-    if best is None:
+        if sol.status == OPTIMAL:
+            payments = tuple(float(p) for p in sol.primal)
+            candidates.append((payments, i, float(rewards[i] - sol.objective_value)))
+    if not candidates:
         raise InputError("no action admits a delta-IC separable contract")
-    return best
+    return _pick_best(candidates, rewards, TOL_TIE * money_unit(setting))
 
 
 def approx_linear_delta(setting: Setting, delta: float, gamma: float) -> LinearApproxResult:

@@ -247,13 +247,19 @@ def bucket_count_bound(inst: SeparationInstance, eps: float) -> Tuple[int, int]:
     nz = factors[factors > 0.0]
     q_min = float(nz.min()) if nz.size else 1.0
     m = inst.m
-    t = math.ceil(2.0 * m * m * math.log2(1.0 / q_min) / eps) + 2
+    # 1/q_min overflows on a subnormal q_min, where -log2(q_min) stays finite;
+    # any other q_min keeps the family budget's bits
+    inverse = 1.0 / q_min
+    log_inverse = math.log2(inverse) if math.isfinite(inverse) else -math.log2(q_min)
+    t = math.ceil(2.0 * m * m * log_inverse / eps) + 2
     return t, t**inst.num_dists
 
 
 def _check_eps(eps: float) -> None:
     if not (0.0 < eps <= 1.0):
         raise InputError(f"eps must lie in (0, 1], got {eps}")
+    if 1.0 + eps == 1.0:  # the bucket factor (1+eps)^(1/2m) would round to 1
+        raise InputError(f"eps={eps} is finer than float64 resolves at 1")
 
 
 def min_ratio_fptas(inst: SeparationInstance, eps: float) -> OracleResult:
@@ -329,15 +335,6 @@ def min_ratio_fptas_stats(inst: SeparationInstance, eps: float) -> Tuple[OracleR
         OracleResult(outcome=best_mask, ratio=float(best_ratio)),
         FptasStats(family_counts=tuple(counts), bucket_parts=t, family_budget=budget),
     )
-
-
-def separation_to_dict(inst: SeparationInstance) -> dict:
-    return {
-        "kind": "separation",
-        "weights": inst.weights.tolist(),
-        "mixtures": inst.mixtures.tolist(),
-        "reference": inst.reference.tolist(),
-    }
 
 
 def separation_from_dict(data: dict) -> SeparationInstance:

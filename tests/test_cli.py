@@ -105,6 +105,41 @@ def test_solve_deterministic_bytes(tmp_path, capsys):
     assert first == second
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["delta-solve", "--delta", "0.1", "--trace", "TRACE"],
+        ["linear"],
+        ["linear", "--separable"],
+        ["linear", "--delta", "0.05", "--gamma", "0.1"],
+        ["oracle", "--eps", "0.1"],
+        ["transform", "--contract", "CONTRACT", "--delta", "0.25", "--to", "ic"],
+        ["transform", "--contract", "CONTRACT", "--delta", "0.25", "--to", "ir"],
+        ["verify", "--contract", "CONTRACT", "--action", "ACTION", "--delta", "0.25", "--notion", "mult"],
+        ["blackbox", "--eps", "0.2", "--gamma", "0.1", "--trials", "2"],
+    ],
+    ids=["delta-solve", "linear", "linear-separable", "linear-gamma", "oracle", "transform-ic",
+         "transform-ir", "verify", "blackbox"],
+)
+def test_deterministic_bytes(tmp_path, capsys, argv):
+    # the same command twice in one process: the same stdout and trace bytes
+    setting = gen_random(3, 4, 2)
+    inst, sep = tmp_path / "inst.json", tmp_path / "sep.json"
+    inst.write_text(dumps(setting))
+    sep.write_text(json.dumps(_separation_json(setting.probs[:2].tolist())))
+    con, trace = tmp_path / "con.json", tmp_path / "trace.csv"
+    _, out, _ = run(capsys, ["delta-solve", "--instance", str(inst), "--delta", "0.25", "--contract-out", str(con)])
+    fill = {"TRACE": str(trace), "CONTRACT": str(con), "ACTION": str(result_of(out)["action"])}
+    argv = [fill.get(arg, arg) for arg in argv]
+    source = sep if argv[0] == "oracle" else inst
+    outputs = []
+    for _ in range(2):
+        code, out, _ = run(capsys, [argv[0], "--instance", str(source), *argv[1:]])
+        assert code == 0
+        outputs.append((out, trace.read_bytes() if trace.exists() else None))
+    assert outputs[0] == outputs[1]
+
+
 def test_verify_a3_documented_contract(tmp_path, capsys):
     inst = tmp_path / "a3.json"
     con = tmp_path / "a3c.json"
@@ -233,7 +268,7 @@ def test_transform_ir_contract_roundtrip(tmp_path, capsys):
     assert json.loads(dumps(load_contract(str(out_c)))) == res["contract"]
 
 
-def test_oracle_brute_and_fptas(tmp_path, capsys):
+def test_oracle_fptas(tmp_path, capsys):
     sep = tmp_path / "sep.json"
     sep.write_text(
         json.dumps(
@@ -245,13 +280,25 @@ def test_oracle_brute_and_fptas(tmp_path, capsys):
             }
         )
     )
-    code, out, _ = run(capsys, ["oracle", "--instance", str(sep), "--brute"])
-    assert code == 0
-    res = result_of(out)
-    assert res["ratio"] == pytest.approx(0.25) and res["outcome"] == [0]
     code, out, _ = run(capsys, ["oracle", "--instance", str(sep), "--eps", "0.5"])
     assert code == 0
-    assert result_of(out)["ratio"] <= 0.25 * 1.5 + 1e-12
+    envelope = json.loads(out)
+    assert envelope["params"] == {"eps": 0.5}
+    assert envelope["result"]["method"] == "fptas"
+    # the exact minimum is 0.25, on the empty outcome
+    assert envelope["result"]["ratio"] <= 0.25 * 1.5 + 1e-12
+
+
+@pytest.mark.parametrize("argv", [["bench", "--instances"], ["oracle", "--brute", "--instance"]],
+                         ids=["bench", "oracle-brute"])
+def test_removed_modes_exit_2(tmp_path, capsys, argv):
+    # perfbench/ is the one timing harness; brute force is only a test reference
+    setting = gen_random(2, 3, 0)
+    inst = tmp_path / "inst.json"
+    inst.write_text(json.dumps(_separation_json(setting.probs.tolist())) if argv[0] == "oracle" else dumps(setting))
+    code, out, err = run(capsys, [*argv, str(inst)])
+    assert code == 2 and out == ""
+    assert "invalid choice" in err or "unrecognized arguments" in err
 
 
 def test_blackbox_csv_shape(tmp_path, capsys):
@@ -279,18 +326,6 @@ def test_blackbox_csv_shape(tmp_path, capsys):
     assert lines[1] == "seed,s,ic_slack,payoff,opt"
     assert len(lines) == 4
     assert lines[2].split(",")[0] == "7" and lines[3].split(",")[0] == "8"
-
-
-def test_bench_sorted_over_jobs(tmp_path, capsys):
-    paths = []
-    for seed in (3, 1, 2):
-        path = tmp_path / f"r{seed}.json"
-        run(capsys, ["gen", "random", "--n", "2", "--m", "3", "--seed", str(seed), "-o", str(path)])
-        paths.append(str(path))
-    code, out, _ = run(capsys, ["bench", "--instances", *paths])
-    assert code == 0
-    rows = [line.split(",")[0] for line in out.splitlines()[2:]]
-    assert rows == sorted(paths)
 
 
 def test_exit_codes(tmp_path, capsys):
@@ -356,11 +391,8 @@ _RANDOM_22 = json.loads(dumps(gen_random(2, 22, 0)))
         # random rows merge almost no partials: past 2^20 representatives at item 20
         (["oracle"], _separation_json(_RANDOM_22["probs"])),
         (["delta-solve", "--delta", "0.1"], _RANDOM_22),
-        # enumeration stops at model.M_MAX_ENUMERATE = 20 items
-        (["oracle", "--brute"], _separation_json([[0.5] * 21, [0.5] * 21])),
     ],
-    ids=["oracle-70-items", "delta-solve-70-items", "oracle-random-m22", "delta-solve-random-m22",
-         "oracle-brute-21-items"],
+    ids=["oracle-70-items", "delta-solve-70-items", "oracle-random-m22", "delta-solve-random-m22"],
 )
 def test_oracle_capacity_exits_4(tmp_path, capsys, command, data):
     inst = tmp_path / "inst.json"
@@ -368,6 +400,44 @@ def test_oracle_capacity_exits_4(tmp_path, capsys, command, data):
     code, out, err = run(capsys, [command[0], "--instance", str(inst), *command[1:]])
     assert code == 4 and out == "" and "resource limit" in err
     assert "Traceback" not in err
+
+
+_SUBNORMAL = 2.2e-313
+
+
+@pytest.mark.parametrize(
+    "command,data",
+    [
+        # 1/q_min overflows in the oracle's bucket bound
+        (["delta-solve", "--delta", "0.1"],
+         {"kind": "product", "costs": [0.0, 0.1], "rewards": [1.0, 0.5],
+          "probs": [[0.5, _SUBNORMAL], [0.6, 0.3]]}),
+        (["oracle", "--eps", "0.1"], _separation_json([[0.5, 0.25], [0.5, _SUBNORMAL]])),
+        # eta * gamma underflows to 0 in the sample count; below, the count
+        # overflows, and neither failure may leave the provenance line or
+        # the CSV header on stdout
+        (["blackbox", "--eps", "0.2", "--gamma", "0.1"],
+         {"kind": "product", "costs": [0.0], "rewards": [0.0], "probs": [[5e-324]]}),
+        (["blackbox", "--eps", "0.2", "--gamma", "0.1", "--trials", "2"],
+         {"kind": "product", "costs": [0.0], "rewards": [0.0], "probs": [[_SUBNORMAL]]}),
+    ],
+    ids=["delta-solve", "oracle", "blackbox-underflow", "blackbox-overflow"],
+)
+def test_subnormal_probability_keeps_exit_code_contract(tmp_path, capsys, command, data):
+    inst = tmp_path / "inst.json"
+    inst.write_text(json.dumps(data))
+    code, out, err = run(capsys, [command[0], "--instance", str(inst), *command[1:]])
+    assert code in (0, 4) and "Traceback" not in err
+    if code == 4:
+        assert out == "" and "resource limit" in err
+
+
+@pytest.mark.parametrize("eps", ["5e-324", "1e-17"])
+def test_oracle_eps_below_float_resolution_exits_2(tmp_path, capsys, eps):
+    inst = tmp_path / "sep.json"
+    inst.write_text(json.dumps(_separation_json([[0.5, 0.25], [0.5, 0.3]])))
+    code, out, err = run(capsys, ["oracle", "--instance", str(inst), "--eps", eps])
+    assert code == 2 and out == "" and "Traceback" not in err
 
 
 def test_version_flag(capsys):
@@ -475,7 +545,9 @@ def _replace(node, path, value):
 
 _ODD_VALUES = st.one_of(
     st.text(max_size=3),
-    st.sampled_from([10**400, 10**11, 2**63, -1, -(10**400), 1e308, -1e308, 5e-324, -0.5, True, None]),
+    st.sampled_from(
+        [10**400, 10**11, 2**63, -1, -(10**400), 1e308, -1e308, 5e-324, 2.2e-313, -0.5, True, None]
+    ),
     st.sampled_from([float("nan"), float("inf"), -float("inf")]),
     st.lists(st.integers(-3, 10), max_size=3),
     st.just([[0.5, 0.5], [0.1]]),
@@ -531,13 +603,25 @@ _COMMANDS = [
     ["verify", "--action", "1", "--delta", "0.1"],
     ["transform", "--delta", "0.1", "--to", "ir"],
     ["transform", "--delta", "0.25", "--to", "ic"],
+    ["blackbox", "--eps", "0.2", "--gamma", "0.1"],
 ]
+
+
+def _assert_exit_code_contract(argv):
+    """exit 0, 2, 3 or 4, never an uncaught exception, and no stdout on 2 or 4."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err), warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        code = cli.main(argv)
+    assert code in (0, 2, 3, 4), err.getvalue()
+    assert "Traceback" not in err.getvalue()
+    if code in (2, 4):
+        assert out.getvalue() == ""
 
 
 @settings(max_examples=200)
 @given(data=st.data())
 def test_fuzzed_json_keeps_exit_code_contract(data):
-    # exit 0, 2, 3 or 4 on any instance and contract JSON, never an uncaught exception
     instance = _mutate(data.draw, data.draw(_instances()))
     contract = _mutate(data.draw, data.draw(_contracts()))
     command = data.draw(st.sampled_from(_COMMANDS))
@@ -550,11 +634,24 @@ def test_fuzzed_json_keeps_exit_code_contract(data):
         argv = [command[0], "--instance", inst, *command[1:]]
         if command[0] in ("verify", "transform"):
             argv += ["--contract", con]
-        out, err = io.StringIO(), io.StringIO()
-        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err), warnings.catch_warnings():
-            warnings.simplefilter("ignore")
-            code = cli.main(argv)
-    assert code in (0, 2, 3, 4), err.getvalue()
-    assert "Traceback" not in err.getvalue()
-    if code in (2, 4):
-        assert out.getvalue() == ""
+        _assert_exit_code_contract(argv)
+
+
+@st.composite
+def _separations(draw):
+    n, m = draw(st.integers(2, 4)), draw(st.integers(1, 8))
+    probs = gen_random(n, m, draw(st.integers(0, 50))).probs.tolist()
+    shares = draw(st.lists(st.integers(1, 5), min_size=n - 1, max_size=n - 1))
+    weights = [share / sum(shares) for share in shares]
+    return {"kind": "separation", "weights": weights, "mixtures": probs[1:], "reference": probs[0]}
+
+
+@settings(max_examples=100)
+@given(data=st.data())
+def test_fuzzed_separation_keeps_exit_code_contract(data):
+    instance = _mutate(data.draw, data.draw(_separations()))
+    with tempfile.TemporaryDirectory() as tmp:
+        inst = os.path.join(tmp, "sep.json")
+        with open(inst, "w") as fh:
+            fh.write(json.dumps(instance))
+        _assert_exit_code_contract(["oracle", "--instance", inst, "--eps", "0.1"])
