@@ -172,6 +172,8 @@ def min_payment_delta(setting: ProductSetting, action: int, delta: float) -> Del
         raise InputError(f"action index {action} outside range [0, {setting.n})")
     if not (delta > 0.0):
         raise InputError("delta must be positive; use exact.min_payment for delta=0")
+    if 1.0 + delta == 1.0:  # the oracle's eps = delta would round its buckets to 1
+        raise InputError(f"delta={delta} is finer than float64 resolves at 1")
     if setting.n == 1:
         return DeltaSolveResult(
             action=0,

@@ -15,7 +15,7 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
-from typing import List, Optional, Sequence, Tuple
+from typing import Any, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -119,11 +119,10 @@ def optimal_linear(setting: Setting, delta: float = 0.0) -> Tuple[float, int, fl
     return _pick_best(candidates, rewards, TOL_TIE * money_unit(setting))
 
 
-def _pick_best(candidates: Sequence[tuple], rewards: np.ndarray, tol: float) -> tuple:
-    """Highest payoff wins; near-ties (within tol) go to the higher-reward action.
-
-    Each candidate is (contract, action, payoff), in the order they are tried.
-    """
+def _pick_best(
+    candidates: Sequence[Tuple[Any, int, float]], rewards: np.ndarray, tol: float
+) -> Tuple[Any, int, float]:
+    """Highest payoff wins; near-ties (within tol) go to the higher-reward action."""
     best = candidates[0]
     for cand in candidates[1:]:
         if cand[2] > best[2] + tol:

@@ -247,11 +247,7 @@ def bucket_count_bound(inst: SeparationInstance, eps: float) -> Tuple[int, int]:
     nz = factors[factors > 0.0]
     q_min = float(nz.min()) if nz.size else 1.0
     m = inst.m
-    # 1/q_min overflows on a subnormal q_min, where -log2(q_min) stays finite;
-    # any other q_min keeps the family budget's bits
-    inverse = 1.0 / q_min
-    log_inverse = math.log2(inverse) if math.isfinite(inverse) else -math.log2(q_min)
-    t = math.ceil(2.0 * m * m * log_inverse / eps) + 2
+    t = math.ceil(2.0 * m * m * -math.log2(q_min) / eps) + 2
     return t, t**inst.num_dists
 
 

@@ -432,21 +432,30 @@ def test_subnormal_probability_keeps_exit_code_contract(tmp_path, capsys, comman
         assert out == "" and "resource limit" in err
 
 
-@pytest.mark.parametrize("eps", ["5e-324", "1e-17"])
-def test_oracle_eps_below_float_resolution_exits_2(tmp_path, capsys, eps):
-    inst = tmp_path / "sep.json"
-    inst.write_text(json.dumps(_separation_json([[0.5, 0.25], [0.5, 0.3]])))
-    code, out, err = run(capsys, ["oracle", "--instance", str(inst), "--eps", eps])
+_PRODUCT = '{"kind": "product", "costs": [0.0, 0.1], "rewards": [1.0], "probs": [[0.1], [0.9]]}'
+
+
+@pytest.mark.parametrize(
+    "argv,instance",
+    [
+        (["oracle", "--eps", "5e-324"], _separation_json([[0.5, 0.25], [0.5, 0.3]])),
+        (["oracle", "--eps", "1e-17"], _separation_json([[0.5, 0.25], [0.5, 0.3]])),
+        (["delta-solve", "--delta", "1e-17"], json.loads(_PRODUCT)),
+    ],
+    ids=["oracle-5e-324", "oracle-1e-17", "delta-solve-1e-17"],
+)
+def test_eps_below_float_resolution_exits_2(tmp_path, capsys, argv, instance):
+    inst = tmp_path / "inst.json"
+    inst.write_text(json.dumps(instance))
+    code, out, err = run(capsys, argv + ["--instance", str(inst)])
     assert code == 2 and out == "" and "Traceback" not in err
+    assert argv[1][2:] + "=" in err
 
 
 def test_version_flag(capsys):
     code, out, _ = run(capsys, ["--version"])
     assert code == 0
     assert "contract-forge" in out
-
-
-_PRODUCT = '{"kind": "product", "costs": [0.0, 0.1], "rewards": [1.0], "probs": [[0.1], [0.9]]}'
 
 
 @pytest.mark.parametrize(
