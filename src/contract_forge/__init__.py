@@ -3,7 +3,6 @@
 from .errors import (
     CapacityError,
     ContractForgeError,
-    InfeasibleError,
     InputError,
     ResourceError,
 )

@@ -39,6 +39,7 @@ from .model import (
     ProductSetting,
     Setting,
     Sparse,
+    _check_action,
     is_normalized,
     min_nonzero_outcome_probability,
     outcome_reward,
@@ -147,8 +148,7 @@ class QueryOracle:
         return masks, counts
 
     def _check(self, action: int, size: int) -> None:
-        if not (0 <= action < self.hidden.n):
-            raise InputError(f"action index {action} outside range [0, {self.hidden.n})")
+        _check_action(self.hidden, action)
         if size < 1:
             raise InputError("size must be at least 1")
 

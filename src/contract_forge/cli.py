@@ -4,15 +4,16 @@ Subcommands: solve, delta-solve, linear, oracle, transform, blackbox, gen,
 verify.  Instances and contracts travel as JSON (see docs/formats.md);
 results go to stdout as JSON wrapped in a provenance envelope, experiment
 tables go to stdout as CSV with a '#'-prefixed provenance line, and anything
-meant for humans goes to stderr.  Exit codes: 0 ok, 2 bad input, 3 a
-verification or feasibility check failed, 4 resource limits; stdout stays
-empty on 2 and 4.
+meant for humans goes to stderr.  Exit codes: 0 ok, 2 bad input, 3 `verify`
+found the condition violated, 4 resource limits; stdout stays empty on 2
+and 4.
 """
 
 from __future__ import annotations
 
 import argparse
 import csv
+import dataclasses
 import json
 import math
 import sys
@@ -20,8 +21,8 @@ from typing import Optional
 
 from . import __version__
 from .blackbox import QueryOracle, blackbox_contract
-from .delta_solver import min_payment_delta, opt_contract_delta
-from .errors import ContractForgeError, InfeasibleError, InputError, ResourceError
+from .delta_solver import TraceRow, min_payment_delta, opt_contract_delta
+from .errors import InputError, ResourceError
 from .exact import first_best, opt_contract
 from .generators import (
     gen_delta_advantage,
@@ -139,19 +140,7 @@ def _cell(value):
 
 
 def _trace_rows(action: int, trace) -> list:
-    return [
-        [
-            action,
-            row.iteration,
-            row.restricted_value,
-            row.sum_weights,
-            _cell(row.cut_outcome),
-            _cell(row.cut_ratio),
-            _cell(row.threshold),
-            row.verdict,
-        ]
-        for row in trace
-    ]
+    return [[action, *map(_cell, dataclasses.astuple(row))] for row in trace]
 
 
 def _delta_result_dict(res) -> dict:
@@ -189,18 +178,7 @@ def cmd_delta_solve(args) -> int:
     if args.trace:
         with open(args.trace, "w", newline="") as fh:
             writer = csv.writer(fh, lineterminator="\n")
-            writer.writerow(
-                [
-                    "action",
-                    "iteration",
-                    "restricted_value",
-                    "sum_weights",
-                    "cut_outcome",
-                    "cut_ratio",
-                    "threshold",
-                    "verdict",
-                ]
-            )
+            writer.writerow(["action", *(f.name for f in dataclasses.fields(TraceRow))])
             writer.writerows(rows)
     _emit_result(args, "delta-solve", params, result)
     _write_contract(args.contract_out, contract)
@@ -420,8 +398,9 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("linear", parents=[common], help="linear / separable contracts")
     p.add_argument("--instance", help="instance JSON ('-' or omit for stdin)")
     p.add_argument("--delta", type=float, default=0.0)
-    p.add_argument("--gamma", type=float, default=None, help="run the welfare-share scheme")
-    p.add_argument("--separable", action="store_true")
+    scheme = p.add_mutually_exclusive_group()
+    scheme.add_argument("--gamma", type=float, default=None, help="run the welfare-share scheme")
+    scheme.add_argument("--separable", action="store_true")
     p.add_argument("--contract-out", help="also write the contract JSON here")
     p.set_defaults(handler=cmd_linear)
 
@@ -502,15 +481,9 @@ def main(argv=None) -> int:
     except InputError as exc:
         _diag(f"error: {exc}")
         return 2
-    except InfeasibleError as exc:
-        _diag(f"infeasible: {exc}")
-        return 3
     except ResourceError as exc:
         _diag(f"resource limit: {exc}")
         return 4
-    except ContractForgeError as exc:  # fallback for future subclasses
-        _diag(f"error: {exc}")
-        return 2
     except FileNotFoundError as exc:
         _diag(f"error: {exc}")
         return 2

@@ -18,8 +18,10 @@ parameter delta) looks for such an outcome; it is added and the loop
 repeats.  When the oracle finds none, its guarantee makes lambda exactly
 feasible for the dual of the ordinary (delta=0) LP, so gamma_star, (1+delta)
 times the restricted minimum, is at most the exact IC minimum payment.  The
-contract is that last LP's primal: payments y_S / q_{target,S} and the base
-y, a multiplicatively delta-IC contract paying gamma_star / (1+delta).
+contract is that last LP's primal, read off by exact.read_contract: payments
+y_S / q_{target,S} and the base y, a multiplicatively delta-IC contract
+paying gamma_star / (1+delta).  The master LP and its read-off live in
+exact; this module only grows the column pool and prices columns.
 
 The oracle cost grows with m, with 1/delta and with the number of actions.
 """
@@ -33,15 +35,14 @@ from typing import Optional, Tuple
 import numpy as np
 
 from .errors import InputError, ResourceError
-from .exact import OptContractResult, best_action, payment_lp
+from .exact import OptContractResult, best_action, payment_lp, read_contract
 from .lpcore import OPTIMAL
 from .model import (
     MULTIPLICATIVE,
     ProductSetting,
     Sparse,
+    _check_action,
     expected_payment,
-    make_sparse,
-    money_unit,
     outcome_probabilities,
     verify_delta_ic,
 )
@@ -74,90 +75,6 @@ class DeltaSolveResult:
     trace: Tuple[TraceRow, ...]
 
 
-class _Solver:
-    """Instance data and the column pool of one column-generation loop."""
-
-    def __init__(self, setting: ProductSetting, action: int, delta: float):
-        self.setting = setting
-        self.delta = delta
-        self.action = action
-        self.others = [i for i in range(setting.n) if i != action]
-        self.cost_gaps = setting.costs[self.others] - setting.costs[action]
-        self.oracle_eps = min(delta, 1.0)
-        # column pool: outcome bitmask -> (target probability, likelihood ratios over self.others)
-        self.pool: dict[int, tuple[float, np.ndarray]] = {}
-        # oracle answers by normalized weights; with two actions every query is the same
-        self.answers: dict[tuple, OracleResult] = {}
-        self.trace: list[TraceRow] = []
-
-    def add_cut(self, mask: int) -> None:
-        q = outcome_probabilities(self.setting, [mask])[:, 0]
-        q_ref = float(q[self.action])
-        if q_ref <= 0.0:
-            raise ResourceError("separation returned an outcome the target never produces")
-        self.pool[mask] = (q_ref, q[self.others] / q_ref)
-
-    def restricted_lp(self) -> tuple[float, np.ndarray, np.ndarray]:
-        """exact.payment_lp over the base column and the pooled columns.
-
-        Returns (1+delta) times the minimum, the weights lambda = (1+delta) mu
-        built from the row duals mu >= 0, and the primal (base payment first,
-        then one expected payment per pooled outcome in pool order).
-        """
-        columns = [np.ones(len(self.others))] + [ratios for _, ratios in self.pool.values()]
-        sol = payment_lp(np.column_stack(columns), self.cost_gaps, self.delta, MULTIPLICATIVE)
-        if sol.status != OPTIMAL:
-            raise ResourceError(f"restricted payment LP ended {sol.status}")
-        one = 1.0 + self.delta
-        lam = one * np.maximum(-sol.dual, 0.0)
-        return one * sol.objective_value, lam, np.maximum(sol.primal, 0.0)
-
-    def separate(self, lam: np.ndarray) -> tuple[Optional[int], float, float]:
-        """Look for an outcome column with negative reduced cost at lam.
-
-        Returns (outcome or None, exact ratio at the outcome, violation
-        threshold).  No outcome means lam survives the oracle, which certifies
-        exact feasibility for the unstrengthened dual.
-        """
-        total = float(lam.sum())
-        if total <= 1.0 + 1e-12:
-            return None, math.nan, math.nan
-        threshold = (1.0 + self.delta) * (1.0 - 1.0 / total)
-        weights = tuple(float(v) / total for v in lam)
-        res = self.answers.get(weights)
-        if res is None:
-            probs = self.setting.probs
-            inst = SeparationInstance(
-                weights=weights, mixtures=probs[self.others], reference=probs[self.action]
-            )
-            res = self.answers[weights] = min_ratio_fptas(inst, eps=self.oracle_eps)
-        if res.ratio < threshold * (1.0 - 1e-12) and res.outcome not in self.pool:
-            return res.outcome, res.ratio, threshold
-        # a pool outcome re-reported as priced in is LP-tolerance noise, not a cut
-        return None, res.ratio, threshold
-
-    def run(self) -> tuple[float, np.ndarray, np.ndarray]:
-        """Add columns until the oracle prices none in; returns the last LP's solution."""
-        for it in range(_MAX_ROUNDS):
-            value, lam, primal = self.restricted_lp()
-            outcome, ratio, threshold = self.separate(lam)
-            self.trace.append(
-                TraceRow(
-                    iteration=it,
-                    restricted_value=value,
-                    sum_weights=float(lam.sum()),
-                    cut_outcome=outcome,
-                    cut_ratio=ratio,
-                    threshold=threshold,
-                    verdict="feasible" if outcome is None else "cut",
-                )
-            )
-            if outcome is None:
-                return value, lam, primal
-            self.add_cut(outcome)
-        raise ResourceError(f"cut generation did not settle within {_MAX_ROUNDS} rounds")
-
-
 def min_payment_delta(setting: ProductSetting, action: int, delta: float) -> DeltaSolveResult:
     """Cheapest-found contract that multiplicatively delta-incentivizes `action`.
 
@@ -168,8 +85,7 @@ def min_payment_delta(setting: ProductSetting, action: int, delta: float) -> Del
     """
     if not isinstance(setting, ProductSetting):
         raise InputError("min_payment_delta needs a product setting")
-    if not (0 <= action < setting.n):
-        raise InputError(f"action index {action} outside range [0, {setting.n})")
+    _check_action(setting, action)
     if not (delta > 0.0):
         raise InputError("delta must be positive; use exact.min_payment for delta=0")
     if 1.0 + delta == 1.0:  # the oracle's eps = delta would round its buckets to 1
@@ -185,11 +101,9 @@ def min_payment_delta(setting: ProductSetting, action: int, delta: float) -> Del
             trace=(),
         )
 
-    solver = _Solver(setting, action, delta)
-    value, lam, primal = solver.run()
-    # the base payment y_0, then y_S / q_target,S per pooled outcome
-    payments = {mask: y / q_ref for (mask, (q_ref, _)), y in zip(solver.pool.items(), primal[1:])}
-    contract = make_sparse(primal[0], payments, unit=money_unit(setting))
+    pool, trace, value, lam, primal = _generate_columns(setting, action, delta)
+    outcomes = np.fromiter(pool, dtype=np.int64, count=len(pool))
+    contract = read_contract(setting, action, outcomes, primal[1:], base=primal[0])
     if not verify_delta_ic(setting, contract, action, delta, MULTIPLICATIVE, tol=1e-5):
         raise ResourceError("extracted contract failed the incentive check")
     return DeltaSolveResult(
@@ -197,10 +111,70 @@ def min_payment_delta(setting: ProductSetting, action: int, delta: float) -> Del
         contract=contract,
         expected_payment=expected_payment(setting, action, contract),
         gamma_star=value,
-        cut_outcomes=tuple(sorted(solver.pool)),
+        cut_outcomes=tuple(sorted(pool)),
         dual_weights=tuple(float(v) for v in lam),
-        trace=tuple(solver.trace),
+        trace=tuple(trace),
     )
+
+
+def _generate_columns(
+    setting: ProductSetting, action: int, delta: float
+) -> tuple[dict[int, np.ndarray], list[TraceRow], float, np.ndarray, np.ndarray]:
+    """Grow the column pool until the oracle prices no outcome in.
+
+    Returns the pool (outcome bitmask -> likelihood ratios over the rivals),
+    the trace, and the last LP's (1+delta) * minimum, lambda and primal (the
+    base payment, then one expected payment per pooled outcome in pool order).
+    """
+    one = 1.0 + delta
+    rivals = np.arange(setting.n) != action
+    cost_gaps = setting.costs[rivals] - setting.costs[action]
+    pool: dict[int, np.ndarray] = {}
+    # oracle answers by normalized weights; with two actions every query is the same
+    answers: dict[tuple, OracleResult] = {}
+    trace: list[TraceRow] = []
+    for it in range(_MAX_ROUNDS):
+        columns = [np.ones(setting.n - 1), *pool.values()]
+        sol = payment_lp(np.column_stack(columns), cost_gaps, delta, MULTIPLICATIVE)
+        if sol.status != OPTIMAL:
+            raise ResourceError(f"restricted payment LP ended {sol.status}")
+        value = one * sol.objective_value
+        lam = one * np.maximum(-sol.dual, 0.0)
+        # no outcome priced in means lam survives the oracle, which certifies
+        # exact feasibility for the unstrengthened dual
+        total = float(lam.sum())
+        outcome, ratio, threshold = None, math.nan, math.nan
+        if total > 1.0 + 1e-12:
+            threshold = one * (1.0 - 1.0 / total)
+            weights = tuple(float(v) / total for v in lam)
+            res = answers.get(weights)
+            if res is None:
+                inst = SeparationInstance(
+                    weights=weights, mixtures=setting.probs[rivals], reference=setting.probs[action]
+                )
+                res = answers[weights] = min_ratio_fptas(inst, eps=min(delta, 1.0))
+            ratio = res.ratio
+            # a pool outcome re-reported as priced in is LP-tolerance noise, not a cut
+            if res.ratio < threshold * (1.0 - 1e-12) and res.outcome not in pool:
+                outcome = res.outcome
+        trace.append(
+            TraceRow(
+                iteration=it,
+                restricted_value=value,
+                sum_weights=total,
+                cut_outcome=outcome,
+                cut_ratio=ratio,
+                threshold=threshold,
+                verdict="feasible" if outcome is None else "cut",
+            )
+        )
+        if outcome is None:
+            return pool, trace, value, lam, np.maximum(sol.primal, 0.0)
+        q = outcome_probabilities(setting, [outcome])[:, 0]
+        if q[action] <= 0.0:
+            raise ResourceError("separation returned an outcome the target never produces")
+        pool[outcome] = q[rivals] / q[action]
+    raise ResourceError(f"cut generation did not settle within {_MAX_ROUNDS} rounds")
 
 
 def opt_contract_delta(setting: ProductSetting, delta: float) -> OptContractResult:

@@ -1,7 +1,8 @@
 """Exception hierarchy shared across the package.
 
-The CLI maps these onto exit codes: InputError -> 2, InfeasibleError -> 3,
-ResourceError (and CapacityError) -> 4.
+The CLI maps these onto exit codes: InputError -> 2, ResourceError (and
+CapacityError) -> 4.  Exit 3 is not an error: it means only that `verify`
+found the checked condition violated.
 """
 
 
@@ -11,10 +12,6 @@ class ContractForgeError(Exception):
 
 class InputError(ContractForgeError):
     """Bad arguments or malformed input data."""
-
-
-class InfeasibleError(ContractForgeError):
-    """A requested object provably does not exist (e.g. no implementable action)."""
 
 
 class ResourceError(ContractForgeError):

@@ -8,7 +8,8 @@ vectors (oracle.ratio_front), not its 2^m outcomes; an explicit setting
 uses each of its outcomes with q_{a,S} > 0. A product setting whose front
 passes model.FRONT_CAP is enumerated instead if it has at most
 model.M_MAX_ENUMERATE items. delta_solver solves the same LP (payment_lp)
-over the outcome columns its separation oracle prices in.
+over the outcome columns its separation oracle prices in, and both read
+their contract off the LP's primal with read_contract.
 
 The LP is written in the setting's own unit of money; lpcore.solve_lp scales
 it. Picking the winning action counts payoffs within model.TOL_TIE money
@@ -32,6 +33,7 @@ from .model import (
     ProductSetting,
     Setting,
     Sparse,
+    _check_action,
     expected_rewards,
     make_sparse,
     money_unit,
@@ -78,8 +80,7 @@ def min_payment(
     notion = normalize_notion(notion)
     if not delta >= 0.0:
         raise InputError("delta must be nonnegative")
-    if not (0 <= action < setting.n):
-        raise InputError(f"action index {action} outside range [0, {setting.n})")
+    _check_action(setting, action)
     rivals = np.arange(setting.n) != action
     outcomes, ratios = _ratio_columns(setting, action, rivals)
     if not np.isfinite(ratios).all():
@@ -91,18 +92,28 @@ def min_payment(
         )
     if sol.status != OPTIMAL:
         raise InputError(f"unexpected LP status {sol.status} for a nonnegative objective")
-    paid = np.flatnonzero(sol.primal > 0.0)
-    q_paid = outcome_probabilities(setting, outcomes[paid])[action]
-    with np.errstate(divide="ignore", over="ignore"):
-        pay = sol.primal[paid] / q_paid
-    if not (np.isfinite(pay) & (pay > 0.0)).all():
-        raise CapacityError(f"a payment for action {action} falls outside float64's range")
     return MinPaymentResult(
         action=action,
         expected_payment=float(sol.objective_value),
-        contract=make_sparse(0.0, dict(zip(outcomes[paid], pay)), unit=money_unit(setting)),
+        contract=read_contract(setting, action, outcomes, sol.primal),
         status=IMPLEMENTABLE,
     )
+
+
+def read_contract(
+    setting: Setting, action: int, outcomes: np.ndarray, primal: np.ndarray, base: float = 0.0
+) -> Sparse:
+    """The contract a payment-LP primal describes: y_S / q_{a,S} on each paid outcome, plus base.
+
+    primal[k] is the expected payment y_S on outcome S = outcomes[k].
+    """
+    paid = np.flatnonzero(primal > 0.0)
+    q_paid = outcome_probabilities(setting, outcomes[paid])[action]
+    with np.errstate(divide="ignore", over="ignore"):
+        pay = primal[paid] / q_paid
+    if not (np.isfinite(pay) & (pay > 0.0)).all():
+        raise CapacityError(f"a payment for action {action} falls outside float64's range")
+    return make_sparse(base, dict(zip(outcomes[paid], pay)), unit=money_unit(setting))
 
 
 def payment_lp(ratios: np.ndarray, cost_gaps: np.ndarray, delta: float, notion: str) -> LPSolution:

@@ -4,7 +4,8 @@ A linear contract hands the agent a fixed fraction alpha of the reward, so the
 agent's expected utility from action i is the line alpha * R_i - c_i.  The
 upper envelope of those lines over alpha in [0, 1] tells us which action a
 given alpha buys.  Everything here builds on that picture: the exact optimal
-linear contract sits on an envelope breakpoint, the optimal separable contract
+linear contract pays some action's cheapest incentivizing share, an envelope
+breakpoint, found in closed form per action; the optimal separable contract
 is one small LP per action, and approx_linear_delta trades an additive delta
 of incentive slack for a (1-gamma)/(kappa+1) share of the first-best welfare,
 using only kappa+2-ish candidate alphas picked along the envelope.
@@ -95,25 +96,17 @@ def upper_envelope(setting: Setting) -> Envelope:
 def optimal_linear(setting: Setting, delta: float = 0.0) -> Tuple[float, int, float]:
     """Best (alpha, action, payoff) among additive delta-IC linear contracts.
 
-    delta=0 reads the answer off the envelope's left endpoints; delta>0 takes
-    each action's cheapest delta-IC share in closed form.  Payoff ties go to
-    the higher-reward action.
+    Takes each action's cheapest delta-IC share in closed form.  Payoff ties
+    go to the higher-reward action.
     """
     if not delta >= 0.0:
         raise InputError("delta must be nonnegative")
     rewards = expected_rewards(setting)
-    if delta == 0.0:
-        env = upper_envelope(setting)
-        candidates = [
-            (seg.left, seg.action, (1.0 - seg.left) * rewards[seg.action])
-            for seg in env.segments
-        ]
-    else:
-        candidates = []
-        for i in range(setting.n):
-            alpha = _cheapest_delta_ic_alpha(rewards, setting.costs, i, delta)
-            if alpha is not None:
-                candidates.append((alpha, i, (1.0 - alpha) * rewards[i]))
+    candidates = []
+    for i in range(setting.n):
+        alpha = _cheapest_delta_ic_alpha(rewards, setting.costs, i, delta)
+        if alpha is not None:
+            candidates.append((alpha, i, (1.0 - alpha) * rewards[i]))
     if not candidates:
         raise InputError("no action admits a delta-IC linear contract")
     return _pick_best(candidates, rewards, TOL_TIE * money_unit(setting))

@@ -323,7 +323,8 @@ def min_ratio_fptas_stats(inst: SeparationInstance, eps: float) -> Tuple[OracleR
     if not valid.any():
         raise InputError("reference distribution assigns zero to every outcome")
     ratios = _weighted_sum(inst.weights, probs[:-1])[valid]
-    ratios /= ref[valid]
+    with np.errstate(over="ignore"):  # a subnormal reference probability makes an inf ratio
+        ratios /= ref[valid]
     best_ratio = ratios.min()
     best_mask = int(masks[valid][ratios == best_ratio].min())
     t, budget = bucket_count_bound(inst, eps)

@@ -245,6 +245,15 @@ def test_linear_contract_out_roundtrip(tmp_path, capsys):
     assert json.loads(dumps(reloaded)) == res["contract"]
 
 
+def test_linear_separable_and_gamma_exclusive(tmp_path, capsys):
+    inst = tmp_path / "gap.json"
+    run(capsys, ["gen", "gap", "--c", "2", "--gamma", "0.1", "-o", str(inst)])
+    code, out, err = run(
+        capsys, ["linear", "--instance", str(inst), "--separable", "--gamma", "0.1"]
+    )
+    assert code == 2 and out == "" and "not allowed with" in err
+
+
 def test_transform_ir_contract_roundtrip(tmp_path, capsys):
     inst = tmp_path / "a3.json"
     con = tmp_path / "a3c.json"
@@ -430,6 +439,23 @@ def test_subnormal_probability_keeps_exit_code_contract(tmp_path, capsys, comman
     assert code in (0, 4) and "Traceback" not in err
     if code == 4:
         assert out == "" and "resource limit" in err
+
+
+# the paid outcome's payment y / q overflows float64 in both solvers' read-off
+_HUGE_PAYMENT = {"kind": "product", "costs": [0.0, 0.01], "rewards": [1e154, 1e154],
+                 "probs": [[1e-160, 1e-160], [1e-156, 1e-156]]}
+
+
+@pytest.mark.parametrize("command", [["solve"], ["delta-solve", "--delta", "0.1"]],
+                         ids=["solve", "delta-solve"])
+def test_payment_past_float64_exits_4(tmp_path, capsys, command):
+    inst = tmp_path / "inst.json"
+    inst.write_text(json.dumps(_HUGE_PAYMENT))
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code, out, err = run(capsys, [command[0], "--instance", str(inst), *command[1:]])
+    assert code == 4 and out == "" and "float64" in err
+    assert caught == []
 
 
 _PRODUCT = '{"kind": "product", "costs": [0.0, 0.1], "rewards": [1.0], "probs": [[0.1], [0.9]]}'

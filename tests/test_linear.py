@@ -100,6 +100,16 @@ def test_duplicate_rewards_rejected():
         upper_envelope(setting)
 
 
+def test_optimal_linear_solves_duplicate_rewards():
+    # the envelope rejects tied rewards; the closed-form shares do not need it
+    setting = ProductSetting(
+        costs=(0.0, 0.2),
+        rewards=(1.0,),
+        probs=((0.5,), (0.5,)),
+    )
+    assert optimal_linear(setting) == (0.0, 0, 0.5)
+
+
 def test_delta_one_makes_everything_free():
     setting = gen_random(4, 3, seed=9)  # normalized by construction
     alpha, action, payoff = optimal_linear(setting, delta=1.0)
