@@ -47,6 +47,7 @@ from .model import (
     item_count,
     load_json,
     money_unit,
+    normalize_notion,
     outcome_to_items,
     setting_from_dict,
     setting_to_dict,
@@ -341,25 +342,29 @@ def cmd_verify(args) -> int:
     tol = TOL_IC if args.tol is None else args.tol
     if not (math.isfinite(tol) and tol >= 0.0):
         raise InputError(f"--tol must be a finite nonnegative number, got {tol}")
+    if args.notion is None and args.delta > 0.0:  # the notions agree only at delta = 0
+        raise InputError("verify --delta > 0 needs --notion: add (additive) or mult (multiplicative)")
+    notion = args.notion or "add"
     setting = _load_setting(args)
     contract = _load_contract(args.contract, setting)
-    slack = ic_slack(setting, contract, args.action, args.delta, args.notion)
+    slack = ic_slack(setting, contract, args.action, args.delta, notion)
     ok = slack >= -tol * money_unit(setting)
     result = {
         "action": args.action,
         "delta": args.delta,
-        "notion": args.notion,
+        "notion": notion,
         "slack": _json_ready(slack),
         "ok": ok,
     }
     _emit_result(
         args,
         "verify",
-        {"delta": args.delta, "notion": args.notion, "action": args.action, "tol": tol},
+        {"delta": args.delta, "notion": notion, "action": args.action, "tol": tol},
         result,
     )
     if not ok:
-        _diag(f"verify: contract misses the {args.delta}-IC condition by {-slack}")
+        kind = normalize_notion(notion)
+        _diag(f"verify: contract misses the {kind} {args.delta}-IC condition by {-slack}")
         return 3
     return 0
 
@@ -460,7 +465,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--contract", required=True)
     p.add_argument("--action", type=int, required=True)
     p.add_argument("--delta", type=float, default=0.0)
-    p.add_argument("--notion", default="add", choices=["mult", "add", "multiplicative", "additive"])
+    p.add_argument("--notion", choices=["mult", "add", "multiplicative", "additive"])
     p.add_argument(
         "--tol", type=float, default=None,
         help="slack tolerance, in units of the largest expected reward",

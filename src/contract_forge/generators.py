@@ -326,16 +326,17 @@ def separable_gap_delta(eps: float) -> float:
 # ---------------------------------------------------------------------------
 
 
-def gen_random(n: int, m: int, seed: int, margin: float = 0.05) -> ProductSetting:
+RANDOM_MARGIN = 0.05  # gen_random's welfare floor: every action keeps at least this much
+
+
+def gen_random(n: int, m: int, seed: int) -> ProductSetting:
     """Random normalized setting: uniform probs, max expected reward scaled to 1.
 
-    The first action is free; other costs are uniform in [0, R_i - margin],
-    keeping every action's welfare at least margin. Deterministic per seed.
+    The first action is free; other costs are uniform in [0, R_i - RANDOM_MARGIN],
+    keeping every action's welfare at least RANDOM_MARGIN. Deterministic per seed.
     """
     if n < 1 or m < 1:
         raise InputError("need n >= 1 actions and m >= 1 items")
-    if not (0.0 <= margin < 1.0):
-        raise InputError(f"margin must lie in [0, 1), got {margin}")
     rng = np.random.default_rng(seed)
     probs = rng.uniform(size=(n, m))
     rewards = rng.uniform(size=m)
@@ -348,8 +349,6 @@ def gen_random(n: int, m: int, seed: int, margin: float = 0.05) -> ProductSettin
         top = float(exp_rewards.max())
     rewards = rewards / top
     exp_rewards = exp_rewards / top
-    costs = [0.0]
-    for i in range(1, n):
-        cap = max(0.0, float(exp_rewards[i]) - margin)
-        costs.append(cost_fracs[i] * cap)
+    costs = cost_fracs * np.maximum(exp_rewards - RANDOM_MARGIN, 0.0)
+    costs[0] = 0.0
     return ProductSetting(costs=costs, rewards=rewards, probs=probs)

@@ -4,11 +4,15 @@ A linear contract hands the agent a fixed fraction alpha of the reward, so the
 agent's expected utility from action i is the line alpha * R_i - c_i.  The
 upper envelope of those lines over alpha in [0, 1] tells us which action a
 given alpha buys.  Everything here builds on that picture: the exact optimal
-linear contract pays some action's cheapest incentivizing share, an envelope
-breakpoint, found in closed form per action; the optimal separable contract
-is one small LP per action, and approx_linear_delta trades an additive delta
-of incentive slack for a (1-gamma)/(kappa+1) share of the first-best welfare,
-using only kappa+2-ish candidate alphas picked along the envelope.
+linear contract pays some action's cheapest incentivizing share, and every
+action's share comes off one table of pairwise bounds, which the envelope
+reads at delta = 0; the optimal separable contract is one small LP per
+action, and approx_linear_delta trades an additive delta of incentive slack
+for a (1-gamma)/(kappa+1) share of the first-best welfare, using only
+kappa+2-ish candidate alphas picked along the envelope.  Of two actions with
+tied expected reward the cheaper one is bought, and of identical lines the
+lowest index, by the optimal contract and the envelope alike (unless a delta
+at or above their cost gap lets the costlier one tie it at a lower index).
 """
 
 from __future__ import annotations
@@ -16,13 +20,15 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
-from typing import Any, List, Optional, Sequence, Tuple
+from typing import Any, List, Sequence, Tuple
 
 import numpy as np
 
 from .errors import InputError
 from .lpcore import OPTIMAL, solve_lp
 from .model import TOL_TIE, Setting, _item_marginals, expected_rewards, is_normalized, money_unit
+
+_BLOCK = 1 << 16  # entries per block of the rivals table, so memory stays linear in n
 
 
 @dataclass(frozen=True)
@@ -59,54 +65,34 @@ class LinearApproxResult:
 def upper_envelope(setting: Setting) -> Envelope:
     """Trace the agent's best action as the reward fraction alpha sweeps [0, 1].
 
-    Ties at a breakpoint go to the higher-reward action, which is also the
-    principal's preference there.  Actions never on top are simply absent.
+    A segment starts at each action's cheapest 0-IC share.  Of equal starts
+    the higher-reward action stays, which is also the principal's preference
+    there; of identical lines the lowest index.  So of two actions with tied
+    expected reward the cheaper one stays, and actions never on top, or on
+    top only where another starts, are absent.
     """
-    rewards, costs = expected_rewards(setting), setting.costs
-    order = sorted(range(setting.n), key=lambda i: (rewards[i], -costs[i]))
-    for a, b in zip(order, order[1:]):
-        if rewards[b] == rewards[a]:
-            raise InputError(
-                f"actions {a} and {b} share expected reward {rewards[a]:.12g}; "
-                "one dominates the other, so the envelope geometry is degenerate"
-            )
-    # lines y = rewards[i] * alpha - costs[i], scanned in slope order
-    stack: List[tuple[int, float]] = []
-    for i in order:
-        x = 0.0
-        while stack:
-            top, top_left = stack[-1]
-            x = (costs[i] - costs[top]) / (rewards[i] - rewards[top])
-            if x <= top_left:
-                stack.pop()
-                continue
-            break
-        if not stack:
-            x = 0.0
-        if x > 1.0:
-            continue
-        stack.append((i, x))
-    segments = []
-    for idx, (action, left) in enumerate(stack):
-        right = stack[idx + 1][1] if idx + 1 < len(stack) else 1.0
-        segments.append(EnvelopeSegment(action=action, left=left, right=right))
-    return Envelope(segments=tuple(segments))
+    rewards = expected_rewards(setting)
+    shares = _cheapest_delta_ic_alphas(rewards, setting.costs, 0.0)
+    on = np.flatnonzero(~np.isnan(shares))
+    on = on[np.lexsort((-rewards[on], shares[on]))]  # stable: ties keep the lower index
+    on = on[np.r_[True, shares[on[1:]] != shares[on[:-1]]]]
+    lefts = shares[on].tolist()
+    segments = zip(on.tolist(), lefts, lefts[1:] + [1.0])
+    return Envelope(segments=tuple(EnvelopeSegment(*seg) for seg in segments))
 
 
 def optimal_linear(setting: Setting, delta: float = 0.0) -> Tuple[float, int, float]:
     """Best (alpha, action, payoff) among additive delta-IC linear contracts.
 
-    Takes each action's cheapest delta-IC share in closed form.  Payoff ties
-    go to the higher-reward action.
+    Takes each action's cheapest delta-IC share.  Payoff ties go to the
+    higher-reward action, then to the lower index.
     """
     if not delta >= 0.0:
         raise InputError("delta must be nonnegative")
     rewards = expected_rewards(setting)
-    candidates = []
-    for i in range(setting.n):
-        alpha = _cheapest_delta_ic_alpha(rewards, setting.costs, i, delta)
-        if alpha is not None:
-            candidates.append((alpha, i, (1.0 - alpha) * rewards[i]))
+    shares = _cheapest_delta_ic_alphas(rewards, setting.costs, delta)
+    on = np.flatnonzero(~np.isnan(shares)).tolist()
+    candidates = [(float(shares[i]), i, (1.0 - shares[i]) * rewards[i]) for i in on]
     if not candidates:
         raise InputError("no action admits a delta-IC linear contract")
     return _pick_best(candidates, rewards, TOL_TIE * money_unit(setting))
@@ -125,24 +111,28 @@ def _pick_best(
     return best
 
 
-def _cheapest_delta_ic_alpha(
-    rewards: np.ndarray, costs: np.ndarray, action: int, delta: float
-) -> Optional[float]:
-    """Smallest alpha in [0,1] at which `action` is an additive delta-best response.
+def _cheapest_delta_ic_alphas(rewards: np.ndarray, costs: np.ndarray, delta: float) -> np.ndarray:
+    """Each action's smallest alpha in [0,1] at which it is an additive delta-best response.
 
-    Rival k asks alpha (R_a - R_k) >= c_a - c_k - delta: a lower bound on
-    alpha when R_a > R_k, an upper bound when R_a < R_k, and a plain yes/no
-    when the rewards tie.
+    nan where there is none.  Rival k asks alpha (R_a - R_k) >= c_a - c_k - delta:
+    a lower bound on alpha when R_a > R_k, an upper bound when R_a < R_k, and
+    a plain yes/no when the rewards tie (the action itself always passes).
+    The n x n table of these bounds is built _BLOCK entries at a time.
     """
-    gain = rewards[action] - rewards
-    need = costs[action] - costs - delta
-    rivals = np.arange(len(rewards)) != action
-    if (need[rivals & (gain == 0.0)] > 0.0).any():
-        return None
-    above, below = rivals & (gain > 0.0), rivals & (gain < 0.0)
-    lo = max(0.0, float((need[above] / gain[above]).max(initial=0.0)))
-    hi = min(1.0, float((need[below] / gain[below]).min(initial=1.0)))
-    return lo if lo <= hi else None
+    n = len(rewards)
+    shares = np.empty(n)
+    step = max(1, _BLOCK // n)
+    for start in range(0, n, step):
+        rows = slice(start, start + step)
+        gain = rewards[rows, None] - rewards
+        need = costs[rows, None] - costs - delta
+        with np.errstate(all="ignore"):  # tied rewards divide by zero; masked below
+            bound = need / gain
+        lo = np.where(gain > 0.0, bound, 0.0).max(axis=1) + 0.0  # + 0.0 makes -0.0 a 0.0
+        hi = np.where(gain < 0.0, bound, 1.0).min(axis=1)
+        tied_out = ((gain == 0.0) & (need > 0.0)).any(axis=1)
+        shares[rows] = np.where(tied_out | ~(lo <= hi), np.nan, lo)
+    return shares
 
 
 def optimal_separable(

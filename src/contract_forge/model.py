@@ -182,9 +182,9 @@ class ExplicitSetting(ArrayFields):
 Setting = Union[ProductSetting, ExplicitSetting]
 
 
-def is_normalized(setting: Setting, tol: float = TOL_VALID) -> bool:
-    """True when every action's expected reward is at most 1 (plus tol)."""
-    return bool(expected_rewards(setting).max() <= 1.0 + tol)
+def is_normalized(setting: Setting) -> bool:
+    """True when every action's expected reward is at most 1 (plus TOL_VALID)."""
+    return bool(expected_rewards(setting).max() <= 1.0 + TOL_VALID)
 
 
 # ---------------------------------------------------------------------------

@@ -179,6 +179,23 @@ def test_verify_failure_exits_3(tmp_path, capsys):
     assert "verify:" in err
 
 
+def test_verify_delta_needs_a_notion(tmp_path, capsys):
+    # solve makes multiplicative contracts, linear additive ones: at delta > 0
+    # verify checks only the notion it is told, and names it when the check fails
+    inst, con = tmp_path / "gap.json", tmp_path / "c.json"
+    run(capsys, ["gen", "gap", "--c", "3", "--gamma", "0.1", "-o", str(inst)])
+    code, _, _ = run(capsys, ["solve", "--instance", str(inst), "--delta", "0.1", "--contract-out", str(con)])
+    assert code == 0
+    argv = ["verify", "--instance", str(inst), "--contract", str(con), "--action", "2", "--delta", "0.1"]
+    code, out, err = run(capsys, argv)
+    assert code == 2 and out == ""
+    assert "additive" in err and "multiplicative" in err
+    code, _, _ = run(capsys, argv + ["--notion", "mult"])
+    assert code == 0
+    code, _, err = run(capsys, argv + ["--notion", "add"])
+    assert code == 3 and "additive 0.1-IC" in err
+
+
 @pytest.mark.parametrize("tol", ["nan", "-1"])
 def test_verify_bad_tol_exits_2(tmp_path, capsys, tol):
     inst = tmp_path / "inst.json"
@@ -252,6 +269,19 @@ def test_linear_separable_and_gamma_exclusive(tmp_path, capsys):
         capsys, ["linear", "--instance", str(inst), "--separable", "--gamma", "0.1"]
     )
     assert code == 2 and out == "" and "not allowed with" in err
+
+
+def test_linear_gamma_keeps_the_cheaper_of_tied_rewards(tmp_path, capsys):
+    # actions 1 and 2 have expected reward 0.8; action 2 costs more, so only 1 is bought
+    inst = tmp_path / "tied.json"
+    inst.write_text(
+        '{"kind": "product", "costs": [0.0, 0.1, 0.2], "rewards": [1.0, 1.0],'
+        ' "probs": [[0.1, 0.1], [0.4, 0.4], [0.4, 0.4]]}'
+    )
+    for extra in ([], ["--delta", "0.05", "--gamma", "0.1"]):
+        code, out, err = run(capsys, ["linear", "--instance", str(inst), *extra])
+        assert code == 0, err
+        assert result_of(out)["action"] == 1
 
 
 def test_transform_ir_contract_roundtrip(tmp_path, capsys):
@@ -635,7 +665,8 @@ _COMMANDS = [
     ["delta-solve", "--delta", "0.2"],
     ["linear"],
     ["linear", "--separable"],
-    ["verify", "--action", "1", "--delta", "0.1"],
+    ["linear", "--delta", "0.05", "--gamma", "0.1"],
+    ["verify", "--action", "1", "--delta", "0.1", "--notion", "add"],
     ["transform", "--delta", "0.1", "--to", "ir"],
     ["transform", "--delta", "0.25", "--to", "ic"],
     ["blackbox", "--eps", "0.2", "--gamma", "0.1"],

@@ -306,9 +306,9 @@ def test_random_normalized_free_first_action(n, mm, seed):
     assert s.costs[0] == 0.0
     top = max(expected_reward(s, i) for i in range(n))
     assert top == pytest.approx(1.0)
-    # costs never eat into the last `margin` of an action's expected reward
+    # costs never eat into the last RANDOM_MARGIN of an action's expected reward
     for i in range(n):
-        assert s.costs[i] <= max(0.0, expected_reward(s, i) - 0.05) + 1e-12
+        assert s.costs[i] <= max(0.0, expected_reward(s, i) - g.RANDOM_MARGIN) + 1e-12
 
 
 def test_random_deterministic():

@@ -3,10 +3,11 @@ import pytest
 
 from contract_forge import InputError
 from contract_forge.generators import gen_gap, gen_random, gen_separable_gap, separable_gap_delta
+from contract_forge import linear
 from contract_forge.linear import (
     Envelope,
     LinearApproxResult,
-    _cheapest_delta_ic_alpha,
+    _cheapest_delta_ic_alphas,
     approx_linear_delta,
     optimal_linear,
     optimal_separable,
@@ -90,18 +91,30 @@ def test_dominated_action_absent():
     assert 1 not in env.actions  # costlier than the detour through its neighbors
 
 
-def test_duplicate_rewards_rejected():
-    setting = ProductSetting(
-        costs=(0.0, 0.2),
-        rewards=(1.0,),
-        probs=((0.5,), (0.5,)),
-    )
-    with pytest.raises(InputError):
-        upper_envelope(setting)
+@pytest.mark.parametrize(
+    "costs, probs, actions",
+    [
+        # tied expected rewards: the cheaper action stays, whatever its index
+        ((0.0, 0.1, 0.2), ((0.1, 0.1), (0.4, 0.4), (0.4, 0.4)), (0, 1)),
+        ((0.0, 0.2, 0.1), ((0.1, 0.1), (0.4, 0.4), (0.4, 0.4)), (0, 2)),
+        # identical lines: the lowest index stays
+        ((0.0, 0.1, 0.1), ((0.2, 0.0), (0.8, 0.0), (0.8, 0.0)), (0, 1)),
+        # three lines through (0.5, 0.125): the middle one is on top only there
+        ((0.0, 0.125, 0.25), ((0.25, 0.0), (0.5, 0.0), (0.75, 0.0)), (0, 2)),
+    ],
+    ids=["tied-rewards", "tied-rewards-cheaper-last", "identical-lines", "three-through-a-point"],
+)
+def test_envelope_matches_best_response_on_ties(costs, probs, actions):
+    setting = ProductSetting(costs=costs, rewards=(1.0, 1.0), probs=probs)
+    env = upper_envelope(setting)
+    assert env.actions == actions
+    for alpha in sorted({*np.linspace(0.0, 1.0, 41)[:-1], *env.breakpoints}):
+        seg = [s for s in env.segments if s.left <= alpha][-1]
+        assert best_response(setting, Linear(alpha=alpha)).action == seg.action, alpha
 
 
 def test_optimal_linear_solves_duplicate_rewards():
-    # the envelope rejects tied rewards; the closed-form shares do not need it
+    # the costlier of two actions with tied expected reward is never bought
     setting = ProductSetting(
         costs=(0.0, 0.2),
         rewards=(1.0,),
@@ -242,6 +255,7 @@ def test_cheapest_delta_ic_alpha_matches_lp():
         setting = gen_random(8, 4, seed=seed)
         rewards, costs = expected_rewards(setting), setting.costs
         for delta in (1e-3, 0.05, 0.3):
+            shares = _cheapest_delta_ic_alphas(rewards, costs, delta)
             for a in range(setting.n):
                 rivals = [k for k in range(setting.n) if k != a]
                 # alpha (R_a - R_k) >= c_a - c_k - delta for every rival k
@@ -252,19 +266,47 @@ def test_cheapest_delta_ic_alpha_matches_lp():
                     bounds=[(0.0, 1.0)],
                     method="highs",
                 )
-                got = _cheapest_delta_ic_alpha(rewards, costs, a, delta)
+                got = shares[a]
                 if ref.status == 2:
-                    assert got is None, f"seed {seed} delta {delta} action {a}"
+                    assert np.isnan(got), f"seed {seed} delta {delta} action {a}"
                 else:
                     assert got == pytest.approx(ref.x[0], abs=1e-9), f"seed {seed} delta {delta} action {a}"
+
+
+def _cheapest_share_by_loop(rewards, costs, action, delta):
+    # the per-action closed form the table replaced, kept as its reference
+    gain = rewards[action] - rewards
+    need = costs[action] - costs - delta
+    rivals = np.arange(len(rewards)) != action
+    if (need[rivals & (gain == 0.0)] > 0.0).any():
+        return np.nan
+    above, below = rivals & (gain > 0.0), rivals & (gain < 0.0)
+    lo = max(0.0, float((need[above] / gain[above]).max(initial=0.0)))
+    hi = min(1.0, float((need[below] / gain[below]).min(initial=1.0)))
+    return lo if lo <= hi else np.nan
+
+
+@pytest.mark.parametrize("block", [None, 64])
+def test_cheapest_delta_ic_alphas_match_the_loop(monkeypatch, block):
+    if block is not None:  # many blocks, with a short last one
+        monkeypatch.setattr(linear, "_BLOCK", block)
+    for n, seed in [(1, 0), (2, 1), (7, 2), (300, 3)]:
+        setting = gen_random(n, 3, seed)
+        # a copy of each of the first two actions ties its reward, one costlier, one identical
+        rewards = np.r_[expected_rewards(setting), expected_rewards(setting)[:2]]
+        costs = np.r_[setting.costs, setting.costs[0] + 0.01, setting.costs[1:2]]
+        for delta in (0.0, 0.05, 0.2):
+            want = [_cheapest_share_by_loop(rewards, costs, a, delta) for a in range(len(rewards))]
+            got = _cheapest_delta_ic_alphas(rewards, costs, delta)
+            np.testing.assert_array_equal(got, want, err_msg=f"n {n} delta {delta}")
 
 
 def test_cheapest_delta_ic_alpha_reward_tie():
     # equal expected rewards: no share helps, so only the cost gap decides
     setting = ProductSetting(costs=(0.0, 0.2), rewards=(1.0,), probs=((0.5,), (0.5,)))
     rewards = expected_rewards(setting)
-    assert _cheapest_delta_ic_alpha(rewards, setting.costs, 1, 0.1) is None
-    assert _cheapest_delta_ic_alpha(rewards, setting.costs, 1, 0.3) == 0.0
+    assert np.isnan(_cheapest_delta_ic_alphas(rewards, setting.costs, 0.1)[1])
+    assert _cheapest_delta_ic_alphas(rewards, setting.costs, 0.3)[1] == 0.0
 
 
 def test_separable_lps_survive_phase1_roundoff():
