@@ -8,10 +8,12 @@ For each gen_random(n, m, seed) setting and each action it prints one CSV
 row: the front's point count (`cap` past model.FRONT_CAP), the items whose
 target probability is the smallest or largest of all actions (ordered
 items, where oracle.ratio_front translates the front instead of filtering
-it), the front's wall time and tracemalloc peak, and the exact payment LP's
-simplex pivots and wall time. Every column except the two times is
-deterministic. The default sizes are n=4 with m in {13, 40, 80}, n=3 with
-m=160 and n in {6, 8} with m=20.
+it), the front's wall time and tracemalloc peak, and the simplex pivots and
+wall time of the payment LP that exact.min_payment solves: over the front,
+or, past the cap with m <= model.M_MAX_ENUMERATE, over every outcome (the
+LP columns are left empty past the cap at larger m). Every column except
+the two times is deterministic. The default sizes are n=4 with m in
+{13, 40, 80}, n=3 with m=160, n in {6, 8} with m=20 and n=12 with m=16.
 """
 
 import argparse
@@ -23,12 +25,12 @@ import tracemalloc
 import numpy as np
 
 from contract_forge.errors import CapacityError
-from contract_forge.exact import payment_lp
+from contract_forge.exact import _ratio_columns, payment_lp
 from contract_forge.generators import gen_random
-from contract_forge.model import MULTIPLICATIVE
+from contract_forge.model import M_MAX_ENUMERATE, MULTIPLICATIVE
 from contract_forge.oracle import ratio_front
 
-DEFAULT_SIZES = ("4x13", "4x40", "4x80", "3x160", "6x20", "8x20")
+DEFAULT_SIZES = ("4x13", "4x40", "4x80", "3x160", "6x20", "8x20", "12x16")
 
 
 def size(text: str):
@@ -70,11 +72,15 @@ def main():
                 tracemalloc.stop()
                 row = [n, m, seed, action, "cap" if front is None else len(front.outcomes),
                        ordered, "%.2f" % front_ms, peak // 1024]
-                if front is None:
+                if front is not None:
+                    ratios = front.ratios
+                elif m <= M_MAX_ENUMERATE:  # exact enumerates the outcomes instead
+                    ratios = _ratio_columns(setting, action, rivals)[1]
+                else:
                     writer.writerow(row + ["", ""])
                     continue
                 start = time.perf_counter()
-                sol = payment_lp(front.ratios, setting.costs[rivals] - setting.costs[action],
+                sol = payment_lp(ratios, setting.costs[rivals] - setting.costs[action],
                                  0.0, MULTIPLICATIVE)
                 lp_ms = 1e3 * (time.perf_counter() - start)
                 writer.writerow(row + [sol.iterations, "%.2f" % lp_ms])

@@ -37,6 +37,7 @@ from .generators import (
 )
 from .linear import approx_linear_delta, optimal_linear, optimal_separable
 from .model import (
+    ADDITIVE,
     Linear,
     Separable,
     TOL_IC,
@@ -269,7 +270,7 @@ def cmd_blackbox(args) -> int:
     for trial in range(args.trials):
         seed = args.seed + trial
         res = blackbox_contract(QueryOracle(setting, seed=seed), args.eps, args.gamma)
-        slack = ic_slack(setting, res.contract, res.action, res.claimed_delta)
+        slack = ic_slack(setting, res.contract, res.action, res.claimed_delta, ADDITIVE)
         rows.append(
             [seed, res.samples_per_action, repr(slack), repr(res.payoff_on_true), repr(res.opt_on_true)]
         )
@@ -342,12 +343,10 @@ def cmd_verify(args) -> int:
     tol = TOL_IC if args.tol is None else args.tol
     if not (math.isfinite(tol) and tol >= 0.0):
         raise InputError(f"--tol must be a finite nonnegative number, got {tol}")
-    if args.notion is None and args.delta > 0.0:  # the notions agree only at delta = 0
-        raise InputError("verify --delta > 0 needs --notion: add (additive) or mult (multiplicative)")
-    notion = args.notion or "add"
     setting = _load_setting(args)
     contract = _load_contract(args.contract, setting)
-    slack = ic_slack(setting, contract, args.action, args.delta, notion)
+    slack = ic_slack(setting, contract, args.action, args.delta, args.notion)
+    notion = args.notion or "add"  # ic_slack takes no notion only at delta = 0
     ok = slack >= -tol * money_unit(setting)
     result = {
         "action": args.action,

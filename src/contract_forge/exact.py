@@ -24,17 +24,19 @@ from typing import TYPE_CHECKING, List, Optional, Union
 
 import numpy as np
 
-from .errors import CapacityError, InputError
-from .lpcore import INFEASIBLE, OPTIMAL, LPSolution, solve_lp
+from .errors import CapacityError, InputError, ResourceError
+from .lpcore import INFEASIBLE, LPSolution, solve_lp
 from .model import (
     M_MAX_ENUMERATE,
     MULTIPLICATIVE,
+    TOL_IC,
     TOL_TIE,
     ProductSetting,
     Setting,
     Sparse,
     _check_action,
     expected_rewards,
+    ic_slack,
     make_sparse,
     money_unit,
     normalize_notion,
@@ -75,7 +77,10 @@ def min_payment(
     """Cheapest contract under which `action` is a (delta-)best response.
 
     Minimizes the expected payment at `action` subject to one inequality per
-    deviating action; a basic optimum pays on at most n-1 outcomes.
+    deviating action; a basic optimum pays on at most n-1 outcomes. The
+    contract is checked against its own (delta-)IC condition: missing it by
+    more than model.TOL_IC money units (model.money_unit) raises
+    ResourceError rather than return a contract that `verify` rejects.
     """
     notion = normalize_notion(notion)
     if not delta >= 0.0:
@@ -90,12 +95,14 @@ def min_payment(
         return MinPaymentResult(
             action=action, expected_payment=math.inf, contract=None, status=NOT_IMPLEMENTABLE
         )
-    if sol.status != OPTIMAL:
-        raise InputError(f"unexpected LP status {sol.status} for a nonnegative objective")
+    contract = read_contract(setting, action, outcomes, sol.primal)
+    slack = ic_slack(setting, contract, action, delta, notion)
+    if slack < -TOL_IC * money_unit(setting):
+        raise ResourceError(f"the LP's contract for action {action} misses IC by {-slack:.3g}")
     return MinPaymentResult(
         action=action,
         expected_payment=float(sol.objective_value),
-        contract=read_contract(setting, action, outcomes, sol.primal),
+        contract=contract,
         status=IMPLEMENTABLE,
     )
 

@@ -402,19 +402,29 @@ def best_response(setting: Setting, contract: Contract, delta: float = 0.0) -> A
     return AgentChoice(action=action, utility=float(utils[action]), payoff=float(payoffs[action]))
 
 
+def _ic_notion(notion: Optional[str], delta: float) -> str:
+    """The normalized notion; None only at delta = 0, where the two notions agree."""
+    if notion is None:
+        if delta > 0.0:
+            raise InputError("delta > 0 needs an IC notion: 'additive' or 'multiplicative'")
+        return ADDITIVE
+    return normalize_notion(notion)
+
+
 def ic_slack(
     setting: Setting,
     contract: Contract,
     action: int,
     delta: float = 0.0,
-    notion: str = ADDITIVE,
+    notion: Optional[str] = None,
 ) -> float:
     """Worst-case slack of the delta-IC condition at `action` (>= 0 means it holds).
 
     Additive: (p_i - c_i) + delta - max_i' (p_i' - c_i').
     Multiplicative: (1+delta) p_i - c_i - max_i' (p_i' - c_i').
+    A delta > 0 needs the notion named; at delta = 0 both read p_i - c_i - max.
     """
-    notion = normalize_notion(notion)
+    notion = _ic_notion(notion, delta)
     if not delta >= 0.0:
         raise InputError("delta must be nonnegative")
     _check_action(setting, action)
@@ -434,11 +444,14 @@ def verify_delta_ic(
     contract: Contract,
     action: int,
     delta: float = 0.0,
-    notion: str = ADDITIVE,
+    notion: Optional[str] = None,
     tol: float = TOL_IC,
 ) -> bool:
-    """Check that `action` is a delta-best response, within tol * money_unit(setting)."""
-    notion = normalize_notion(notion)
+    """Check that `action` is a delta-best response, within tol * money_unit(setting).
+
+    As for ic_slack, a delta > 0 needs the notion named.
+    """
+    notion = _ic_notion(notion, delta)
     if notion == ADDITIVE and delta > 0 and not is_normalized(setting):
         warnings.warn(
             "additive delta-IC is calibrated for normalized settings (max expected reward <= 1)",

@@ -23,6 +23,7 @@ from contract_forge.errors import CapacityError, InputError
 from contract_forge.exact import opt_contract
 from contract_forge.generators import gen_random
 from contract_forge.model import (
+    ADDITIVE,
     ExplicitSetting,
     ProductSetting,
     Sparse,
@@ -173,11 +174,12 @@ def test_pipeline_guarantees_under_event():
             continue
         good += 1
         # solved contract stays near-IC and near-optimal on the truth
-        assert ic_slack(hidden, res.contract, res.action, 4 * eps) >= -1e-9
+        assert ic_slack(hidden, res.contract, res.action, 4 * eps, ADDITIVE) >= -1e-9
         assert res.payoff_on_true >= res.payoff_bound - 1e-9
         # true-optimal contract stays near-IC on the empirical model
         restricted = res.empirical.restrict(true_opt.contract)
-        assert ic_slack(res.empirical.setting, restricted, true_opt.action, 2 * eps) >= -1e-9
+        slack = ic_slack(res.empirical.setting, restricted, true_opt.action, 2 * eps, ADDITIVE)
+        assert slack >= -1e-9
         # payoff transfer in both directions
         solved_emp = opt_contract(res.empirical.setting, delta=2 * eps, notion="additive")
         assert res.payoff_on_true >= solved_emp.payoff - 2 * eps - 1e-9

@@ -6,15 +6,19 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import contract_forge.generators as g
+from contract_forge import cli, exact
 from contract_forge import (
     ExplicitSetting,
     ProductSetting,
     best_response,
     expected_payment,
     expected_reward,
+    ic_slack,
     product_to_explicit,
     verify_delta_ic,
 )
+from contract_forge.errors import ResourceError
+from contract_forge.model import TOL_IC, dumps, money_unit
 from contract_forge.exact import (
     IMPLEMENTABLE,
     NOT_IMPLEMENTABLE,
@@ -287,3 +291,39 @@ def test_free_action_pays_exactly_zero():
             assert res.status == IMPLEMENTABLE, (n, m, seed)
             assert res.expected_payment == 0.0 and math.copysign(1.0, res.expected_payment) == 1.0
             assert res.contract.base == 0.0 and not res.contract.payments
+
+
+# scipy.optimize.linprog(method="highs") on the enumerated payment LP of
+# gen_random(16, 18, 0): min sum_S y_S subject to
+# sum_S (q_{k,S} / q_{a,S} - 1) y_S <= c_k - c_a over all 2^18 outcomes with
+# q_{a,S} > 0 (about 4 s per action)
+_HIGHS_16_18 = {10: 0.4716422575, 15: 0.4602740043}
+
+
+@pytest.mark.parametrize("action", sorted(_HIGHS_16_18))
+def test_enumerated_lp_contract_is_ic(action):
+    # both fronts pass FRONT_CAP, so the LP has 2^18 columns and 15 rows;
+    # thousands of primal Bland pivots once left these contracts short of
+    # IC by 2.6e-9 and 4.7e-8 money units
+    setting = g.gen_random(16, 18, 0)
+    res = min_payment(setting, action)
+    assert ic_slack(setting, res.contract, action) >= -TOL_IC * money_unit(setting)
+    assert res.expected_payment == pytest.approx(_HIGHS_16_18[action], rel=1e-7)
+
+
+def test_contract_that_misses_ic_raises(monkeypatch, tmp_path, capsys):
+    # a read-off paying half the LP's primal cannot be IC for a costly action
+    read_contract = exact.read_contract
+    monkeypatch.setattr(
+        exact, "read_contract",
+        lambda setting, action, outcomes, primal: read_contract(setting, action, outcomes, primal / 2),
+    )
+    setting = g.gen_gap(2, 0.1)
+    with pytest.raises(ResourceError):
+        min_payment(setting, 1)
+    inst = tmp_path / "inst.json"
+    inst.write_text(dumps(setting))
+    code = cli.main(["solve", "--instance", str(inst)])
+    out, err = capsys.readouterr()
+    assert code == 4 and out == ""
+    assert "misses IC" in err

@@ -152,6 +152,18 @@ def test_separable_gap_instance():
     assert verify_delta_ic(inst.setting, doc, 1, 0.0, ADDITIVE, tol=1e-9)
 
 
+def test_separable_takes_probabilities_below_zero_by_roundoff():
+    # validation lets a probability dip to -TOL_VALID, which would make an
+    # item marginal a negative LP cost; the cost is clipped at 0
+    base = gen_random(3, 4, seed=5)
+    probs = base.probs.copy()
+    probs[1, 2] = -5e-10
+    setting = ProductSetting(costs=base.costs, rewards=base.rewards, probs=probs)
+    payments, action, payoff = optimal_separable(setting, delta=0.05)
+    assert verify_delta_ic(setting, Separable(item_payments=payments), action, 0.05, ADDITIVE)
+    assert payoff == pytest.approx(optimal_separable(base, delta=0.05)[2], abs=1e-8)
+
+
 def test_separable_beats_linear():
     rng = np.random.default_rng(77)
     for _ in range(10):
@@ -310,8 +322,9 @@ def test_cheapest_delta_ic_alpha_reward_tie():
 
 
 def test_separable_lps_survive_phase1_roundoff():
-    # phase 1 of action 49's LP meets a column with reduced cost -1.13e-9 and
-    # only negative entries: roundoff, since phase 1 is bounded below by 0
+    # action 49's LP once broke a two-phase simplex, whose phase 1 met a column
+    # with reduced cost -1.13e-9 and only negative entries; the dual simplex
+    # has no phase 1, and every LP here must still match HiGHS
     from scipy.optimize import linprog
 
     setting = gen_random(60, 6, seed=477832360)

@@ -1,10 +1,12 @@
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from contract_forge import lpcore
 from contract_forge.errors import InputError, ResourceError
 from contract_forge.generators import gen_random
-from contract_forge.lpcore import INFEASIBLE, OPTIMAL, UNBOUNDED, solve_lp
+from contract_forge.lpcore import INFEASIBLE, OPTIMAL, solve_lp
 from contract_forge.oracle import ratio_front
 
 
@@ -34,8 +36,8 @@ def test_two_action_strong_duality_pair():
 
 
 def test_redundant_rows():
-    # duplicate rows: every row keeps its own slack, so phase 1 still drives
-    # each artificial out of the basis
+    # duplicate rows: every row keeps its own slack, and once the first
+    # short row has pivoted its twins read 0, so none of them is left short
     rows = [[-1.0, -1.0], [-1.0, -1.0], [-2.0, -2.0], [1.0, 1.0]]
     sol = solve_lp([1.0, 0.0], rows, [-1.0, -1.0, -2.0, 1.0])
     assert sol.status == OPTIMAL
@@ -44,8 +46,8 @@ def test_redundant_rows():
 
 
 def test_nonnegative_costs_and_rhs_stop_at_zero_without_pivots():
-    # every slack starts basic and no reduced cost is negative: x = 0 is
-    # optimal before any pivot, and phase 1 has no row to run on
+    # every slack starts basic and no basic value is negative: x = 0 is
+    # optimal before any pivot, since the all-slack basis is dual feasible
     rng = np.random.default_rng(8)
     for _ in range(20):
         nx, nr = rng.integers(1, 30), rng.integers(0, 6)
@@ -61,10 +63,12 @@ def test_nonnegative_costs_and_rhs_stop_at_zero_without_pivots():
         assert sol.dual.tolist() == [0.0] * nr
 
 
-def test_unbounded():
-    sol = solve_lp([-1.0], np.zeros((0, 1)), [])
-    assert sol.status == UNBOUNDED
-    assert sol.objective_value == -np.inf
+def test_negative_objective_rejected():
+    # the dual simplex starts from the all-slack basis, which needs c >= 0
+    with pytest.raises(InputError):
+        solve_lp([-1.0], np.zeros((0, 1)), [])
+    with pytest.raises(InputError):
+        solve_lp([1.0, -1e-12], [[1.0, 1.0]], [1.0])
 
 
 def test_infeasible():
@@ -91,12 +95,15 @@ def test_input_validation():
 
 
 def test_iteration_limit(monkeypatch):
+    # sum_j a_kj x_j >= 5 on twelve random rows, within the box x <= 10
     rng = np.random.default_rng(0)
-    rows = np.vstack([rng.uniform(-1, 1, (12, 12)), np.eye(12)])
-    rhs = np.concatenate([np.full(12, 5.0), np.full(12, 10.0)])
+    rows = np.vstack([-rng.uniform(0, 1, (12, 12)), np.eye(12)])
+    rhs = np.concatenate([np.full(12, -5.0), np.full(12, 10.0)])
+    c = rng.uniform(0, 1, 12)
+    assert solve_lp(c, rows, rhs).iterations > 2
     monkeypatch.setattr(lpcore, "MAX_ITER", 2)
     with pytest.raises(ResourceError):
-        solve_lp(rng.uniform(-1, 1, 12), rows, rhs)
+        solve_lp(c, rows, rhs)
 
 
 def _random_feasible_lp(rng):
@@ -108,7 +115,7 @@ def _random_feasible_lp(rng):
     nr = rng.integers(1, 21)
     a = rng.uniform(-2, 2, (nr, nx))
     x0 = rng.uniform(0, 3, nx)
-    c = rng.uniform(-1, 1, nx)
+    c = rng.uniform(0, 1, nx)
     b0 = a @ x0
     rows, rhs = [], []
     for k in range(nr):
@@ -192,3 +199,31 @@ def test_front_lp_right_side_in_large_units():
                 assert sols[1].objective_value == pytest.approx(
                     1e9 * sols[0].objective_value, rel=1e-9, abs=1e-3
                 ), f"seed {seed} action {action}"
+
+
+@given(
+    nr=st.integers(1, 6),
+    nx=st.integers(1, 40),
+    delta=st.sampled_from([0.0, 0.05, 0.5]),
+    seed=st.integers(0, 2**31 - 1),
+)
+def test_payment_lp_shapes_match_scipy(nr, nx, delta, seed):
+    # exact.payment_lp's shape: cost 1 per column, rows of positive likelihood
+    # ratios minus (1+delta), and cost gaps of both signs, so some are infeasible
+    from scipy.optimize import linprog
+
+    rng = np.random.default_rng(seed)
+    rows = np.exp(rng.uniform(-3.0, 3.0, (nr, nx))) - (1.0 + delta)
+    rhs = rng.uniform(-1.0, 1.0, nr)
+    c = np.ones(nx)
+    sol = solve_lp(c, rows, rhs)
+    ref = linprog(c, A_ub=rows, b_ub=rhs, bounds=[(0.0, None)] * nx, method="highs")
+    assert ref.status in (0, 2)
+    assert sol.status == (OPTIMAL if ref.status == 0 else INFEASIBLE)
+    if ref.status == 2:
+        return
+    assert sol.objective_value == pytest.approx(ref.fun, rel=1e-7, abs=1e-12)
+    mu = -sol.dual
+    assert (mu >= 0.0).all()
+    assert (c + mu @ rows >= -1e-9).all()
+    assert sol.dual @ rhs == pytest.approx(sol.objective_value, rel=1e-9, abs=1e-12)

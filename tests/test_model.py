@@ -27,7 +27,7 @@ from contract_forge import (
 )
 from contract_forge.errors import CapacityError
 from contract_forge.generators import gen_random
-from contract_forge.exact import min_payment
+from contract_forge.exact import min_payment, opt_contract
 from contract_forge.oracle import SeparationInstance
 from tests.conftest import SCALES, rescaled
 
@@ -159,6 +159,22 @@ def test_notion_aliases(two_action):
     assert verify_delta_ic(two_action, con, 1, 0.0, "multiplicative")
     with pytest.raises(InputError):
         ic_slack(two_action, con, 1, 0.0, "nope")
+
+
+def test_delta_above_zero_needs_a_notion():
+    # opt_contract defaults to the multiplicative notion; a check that
+    # defaulted to the additive one would test another condition
+    setting = gen_random(3, 4, seed=2)
+    res = opt_contract(setting, delta=0.1)
+    for check in (ic_slack, verify_delta_ic):
+        with pytest.raises(InputError, match="additive.*multiplicative"):
+            check(setting, res.contract, res.action, 0.1)
+    assert verify_delta_ic(setting, res.contract, res.action, 0.1, "mult")
+    # at delta = 0 the notions agree, so none is needed
+    ic = opt_contract(setting)
+    assert ic_slack(setting, ic.contract, ic.action) == ic_slack(
+        setting, ic.contract, ic.action, 0.0, "mult"
+    )
 
 
 def test_validation_errors():

@@ -6,6 +6,7 @@ import pytest
 from contract_forge.errors import InputError
 from contract_forge.generators import gen_delta_advantage, gen_random
 from contract_forge.model import (
+    ADDITIVE,
     Linear,
     Mixed,
     Separable,
@@ -121,7 +122,7 @@ def test_ir_lift_drops_exactly_delta():
         payoff - delta, abs=1e-12
     )
     assert agent_utility(adv.setting, action, lifted) >= 0.0
-    assert ic_slack(adv.setting, lifted, action, delta) >= -1e-12
+    assert ic_slack(adv.setting, lifted, action, delta, ADDITIVE) >= -1e-12
 
 
 def test_ir_zero_contract_when_payoff_small():
@@ -155,7 +156,7 @@ def test_ir_random_sweep():
         choice = best_response(setting, lifted)
         assert agent_utility(setting, choice.action, lifted) >= -1e-9
         if payoff > delta:
-            assert ic_slack(setting, lifted, action, delta) >= -1e-9
+            assert ic_slack(setting, lifted, action, delta, ADDITIVE) >= -1e-9
             assert agent_utility(setting, action, lifted) >= -1e-9
             assert principal_payoff(setting, action, lifted) >= payoff - delta - 1e-9
 
