@@ -42,7 +42,7 @@ from .model import (
     _check_action,
     is_normalized,
     min_nonzero_outcome_probability,
-    outcome_reward,
+    outcome_rewards,
     principal_payoff,
 )
 
@@ -213,7 +213,7 @@ def estimate(oracle: QueryOracle, s: int) -> EmpiricalModel:
         counts[i, np.searchsorted(outcomes, ids)] = cnt
     setting = ExplicitSetting(
         costs=hidden.costs,
-        outcome_rewards=[outcome_reward(hidden, int(o)) for o in outcomes],
+        outcome_rewards=outcome_rewards(hidden, outcomes),
         dist=counts / s,
     )
     return EmpiricalModel(

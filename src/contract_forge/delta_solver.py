@@ -35,7 +35,7 @@ from typing import Optional, Tuple
 import numpy as np
 
 from .errors import InputError, ResourceError
-from .exact import OptContractResult, best_action, payment_lp, read_contract
+from .exact import OptContractResult, best_action, check_ic, payment_lp, read_contract
 from .lpcore import OPTIMAL
 from .model import (
     MULTIPLICATIVE,
@@ -44,7 +44,6 @@ from .model import (
     _check_action,
     expected_payment,
     outcome_probabilities,
-    verify_delta_ic,
 )
 from .oracle import OracleResult, SeparationInstance, min_ratio_fptas
 
@@ -81,7 +80,7 @@ def min_payment_delta(setting: ProductSetting, action: int, delta: float) -> Del
     The expected payment is gamma_star / (1+delta), and gamma_star is at most
     the exact (delta=0) minimum whenever that minimum is finite.  Payments
     come out in the setting's own unit of money: lpcore scales the LPs, and
-    the final incentive check allows 1e-5 money units (model.money_unit).
+    exact.check_ic checks the contract as exact.min_payment does.
     """
     if not isinstance(setting, ProductSetting):
         raise InputError("min_payment_delta needs a product setting")
@@ -104,8 +103,7 @@ def min_payment_delta(setting: ProductSetting, action: int, delta: float) -> Del
     pool, trace, value, lam, primal = _generate_columns(setting, action, delta)
     outcomes = np.fromiter(pool, dtype=np.int64, count=len(pool))
     contract = read_contract(setting, action, outcomes, primal[1:], base=primal[0])
-    if not verify_delta_ic(setting, contract, action, delta, MULTIPLICATIVE, tol=1e-5):
-        raise ResourceError("extracted contract failed the incentive check")
+    check_ic(setting, contract, action, delta, MULTIPLICATIVE)
     return DeltaSolveResult(
         action=action,
         contract=contract,

@@ -1,7 +1,8 @@
 """Exception hierarchy shared across the package.
 
 The CLI maps these onto exit codes: InputError -> 2, ResourceError (and
-CapacityError) -> 4.  Exit 3 is not an error: it means only that `verify`
+CapacityError) -> 4, as it maps an OSError on a path to 2 and MemoryError
+to 4.  Exit 3 is not an error: it means only that `verify`
 found the checked condition violated.
 """
 

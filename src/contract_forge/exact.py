@@ -12,7 +12,8 @@ over the outcome columns its separation oracle prices in, and both read
 their contract off the LP's primal with read_contract.
 
 The LP is written in the setting's own unit of money; lpcore.solve_lp scales
-it. Picking the winning action counts payoffs within model.TOL_TIE money
+it. Both solvers check their contract against its own IC condition with
+check_ic. Picking the winning action counts payoffs within model.TOL_TIE money
 units (model.money_unit) of the best as tied.
 """
 
@@ -35,13 +36,13 @@ from .model import (
     Setting,
     Sparse,
     _check_action,
+    all_subset_probabilities,
     expected_rewards,
     ic_slack,
     make_sparse,
     money_unit,
     normalize_notion,
     outcome_probabilities,
-    product_to_explicit,
 )
 from .oracle import ratio_front
 
@@ -96,9 +97,7 @@ def min_payment(
             action=action, expected_payment=math.inf, contract=None, status=NOT_IMPLEMENTABLE
         )
     contract = read_contract(setting, action, outcomes, sol.primal)
-    slack = ic_slack(setting, contract, action, delta, notion)
-    if slack < -TOL_IC * money_unit(setting):
-        raise ResourceError(f"the LP's contract for action {action} misses IC by {-slack:.3g}")
+    check_ic(setting, contract, action, delta, notion)
     return MinPaymentResult(
         action=action,
         expected_payment=float(sol.objective_value),
@@ -121,6 +120,17 @@ def read_contract(
     if not (np.isfinite(pay) & (pay > 0.0)).all():
         raise CapacityError(f"a payment for action {action} falls outside float64's range")
     return make_sparse(base, dict(zip(outcomes[paid], pay)), unit=money_unit(setting))
+
+
+def check_ic(setting: Setting, contract: Sparse, action: int, delta: float, notion: str) -> None:
+    """Raise ResourceError if `contract` misses `action`'s (delta-)IC condition.
+
+    Both solvers check the contract they read off their LP, so a slack below
+    -model.TOL_IC money units (model.money_unit) never reaches the caller.
+    """
+    slack = ic_slack(setting, contract, action, delta, notion)
+    if slack < -TOL_IC * money_unit(setting):
+        raise ResourceError(f"the LP's contract for action {action} misses IC by {-slack:.3g}")
 
 
 def payment_lp(ratios: np.ndarray, cost_gaps: np.ndarray, delta: float, notion: str) -> LPSolution:
@@ -149,11 +159,15 @@ def _ratio_columns(setting: Setting, action: int, rivals: np.ndarray):
         except CapacityError:
             if setting.m > M_MAX_ENUMERATE:
                 raise
-        setting = product_to_explicit(setting)
-    q = setting.dist[action]
+        dist = all_subset_probabilities(setting.probs)
+    else:
+        dist = setting.dist
+    q = dist[action]
     outcomes = np.flatnonzero(q > 0.0)
+    ratios = dist[np.ix_(rivals, outcomes)]
     with np.errstate(over="ignore"):
-        return outcomes, setting.dist[rivals][:, outcomes] / q[outcomes]
+        ratios /= q[outcomes]
+    return outcomes, ratios
 
 
 def opt_contract(

@@ -113,7 +113,9 @@ def solve_lp(objective, rows, rhs) -> LPSolution:
         t[prow] /= t[prow, pcol]
         col = t[:, pcol].copy()
         col[prow] = 0.0
-        t -= np.outer(col, t[prow])
+        pivot_row = t[prow].copy()
+        for i, factor in enumerate(col):  # row by row: no tableau-sized temporary
+            t[i] -= factor * pivot_row
         t[:, pcol] = 0.0
         t[prow, pcol] = 1.0
         np.maximum(t[-1, :-1], 0.0, out=t[-1, :-1])

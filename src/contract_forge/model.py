@@ -31,8 +31,10 @@ settings (max expected reward <= 1).
 
 from __future__ import annotations
 
+import contextlib
 import json
 import math
+import sys
 import warnings
 from dataclasses import dataclass, field, fields
 from typing import Iterable, Optional, Union
@@ -303,13 +305,17 @@ def outcome_probability(setting: Setting, action: int, outcome: int) -> float:
     return float(outcome_probabilities(setting, [outcome])[action, 0])
 
 
-def outcome_reward(setting: Setting, outcome: int) -> float:
-    """Total reward of an outcome (sum of realized item rewards)."""
+def outcome_rewards(setting: Setting, outcomes: Iterable[int]) -> np.ndarray:
+    """Total reward of each outcome: its realized item rewards, added in item order."""
+    outcomes = np.asarray(outcomes, dtype=np.int64)
     if isinstance(setting, ExplicitSetting):
-        if not (0 <= outcome < setting.num_outcomes):
-            raise InputError(f"outcome {outcome} outside explicit outcome range")
-        return float(setting.outcome_rewards[outcome])
-    return float(sum(r for j, r in enumerate(setting.rewards) if (outcome >> j) & 1))
+        if outcomes.size and (outcomes.min() < 0 or outcomes.max() >= setting.num_outcomes):
+            raise InputError("outcome outside explicit outcome range")
+        return setting.outcome_rewards[outcomes]
+    rewards = np.zeros(outcomes.size)
+    for j, r in enumerate(setting.rewards):
+        rewards[(outcomes >> j) & 1 == 1] += r
+    return rewards
 
 
 def expected_rewards(setting: Setting) -> np.ndarray:
@@ -500,12 +506,10 @@ def product_to_explicit(setting: ProductSetting) -> ExplicitSetting:
     m = setting.m
     if m > M_MAX_ENUMERATE:
         raise CapacityError(f"m={m} items would enumerate 2^{m} outcomes (cap {M_MAX_ENUMERATE})")
-    masks = np.arange(1 << m)
-    rewards = np.zeros(1 << m)
-    for j in range(m):
-        rewards[(masks >> j) & 1 == 1] += setting.rewards[j]
     return ExplicitSetting(
-        costs=setting.costs, outcome_rewards=rewards, dist=all_subset_probabilities(setting.probs)
+        costs=setting.costs,
+        outcome_rewards=outcome_rewards(setting, np.arange(1 << m)),
+        dist=all_subset_probabilities(setting.probs),
     )
 
 
@@ -571,7 +575,7 @@ def setting_to_dict(setting: Setting) -> dict:
     }
 
 
-def setting_from_dict(data: dict, allow_no_free_action: bool = False) -> Setting:
+def setting_from_dict(data: dict) -> Setting:
     if not isinstance(data, dict) or "kind" not in data:
         raise InputError("setting JSON must be an object with a 'kind' field")
     kind = data["kind"]
@@ -580,10 +584,8 @@ def setting_from_dict(data: dict, allow_no_free_action: bool = False) -> Setting
             setting = ProductSetting(
                 costs=data["costs"], rewards=data["rewards"], probs=data["probs"]
             )
-            if not allow_no_free_action and abs(setting.costs[0]) > TOL_ZERO * money_unit(setting):
-                raise InputError(
-                    "first action must have zero cost (pass allow_no_free_action to override)"
-                )
+            if abs(setting.costs[0]) > TOL_ZERO * money_unit(setting):
+                raise InputError("first action must have zero cost")
             return setting
         if kind == "explicit":
             return ExplicitSetting(
@@ -656,19 +658,19 @@ def _reject_constant(name: str):
     raise InputError(f"JSON input holds {name}, which is not a finite number")
 
 
-def load_json(fh) -> object:
-    """Parse JSON from a file object, rejecting the NaN and Infinity literals."""
-    try:
-        return json.load(fh, parse_constant=_reject_constant)
-    except ValueError as exc:  # JSONDecodeError, or an integer past Python's digit limit
-        raise InputError(f"malformed JSON input ({exc})")
+def load_json(path: Optional[str] = None) -> object:
+    """Parse the JSON file at `path` (stdin for None or '-'), rejecting the NaN and Infinity literals."""
+    with contextlib.nullcontext(sys.stdin) if path in (None, "-") else open(path) as fh:
+        try:
+            return json.load(fh, parse_constant=_reject_constant)
+        except ValueError as exc:  # JSONDecodeError, or an integer past Python's digit limit
+            raise InputError(f"malformed JSON input ({exc})")
 
 
-def load_setting(path: str, allow_no_free_action: bool = False) -> Setting:
-    with open(path) as fh:
-        return setting_from_dict(load_json(fh), allow_no_free_action=allow_no_free_action)
+def load_setting(path: Optional[str] = None) -> Setting:
+    return setting_from_dict(load_json(path))
 
 
-def load_contract(path: str) -> Contract:
-    with open(path) as fh:
-        return contract_from_dict(load_json(fh))
+def load_contract(path: Optional[str] = None, items: Optional[int] = None) -> Contract:
+    """Contract JSON at `path`; `items` (item_count) bounds the item indices."""
+    return contract_from_dict(load_json(path), items)

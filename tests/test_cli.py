@@ -3,8 +3,12 @@ import copy
 import io
 import json
 import os
+import resource
+import subprocess
+import sys
 import tempfile
 import warnings
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -408,8 +412,50 @@ def test_exit_codes(tmp_path, capsys):
     )
     code, out, err = run(capsys, ["solve", "--instance", str(tiny)])
     assert code == 4 and out == "" and "Traceback" not in err
-    code, _, _ = run(capsys, ["gen", "gap", "--c", "2", "--gamma", "0.1", "--contract-out", str(tmp_path / "x.json")])
-    assert code == 2
+    code, out, _ = run(capsys, ["gen", "gap", "--c", "2", "--gamma", "0.1", "--contract-out", str(tmp_path / "x.json")])
+    assert code == 2 and out == ""
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["solve", "--instance", "INST", "--contract-out", "NODIR"],
+        ["gen", "gap", "--c", "2", "--gamma", "0.1", "--contract-out", "OUT"],
+        ["solve", "--instance", "DIR"],
+        ["solve", "--instance", "INST", "--contract-out", "DIR"],
+        ["delta-solve", "--instance", "INST", "--delta", "0.1", "--trace", "DIR", "--contract-out", "OUT"],
+        ["verify", "--instance", "INST", "--contract", "DIR", "--action", "0"],
+        ["gen", "gap", "--c", "2", "--gamma", "0.1", "-o", "DIR"],
+        ["gen", "sat", "--cnf", "DIR"],
+        ["solve", "--instance", "INST", "--seed", "3"],
+    ],
+    ids=["contract-out-no-dir", "gen-gap-contract-out", "instance-dir", "contract-out-dir",
+         "trace-dir", "contract-dir", "output-dir", "cnf-dir", "solve-seed"],
+)
+def test_failed_run_writes_nothing(tmp_path, capsys, argv):
+    # exit 2 with nothing on stdout and no file written, whether the path or the option is wrong
+    inst = tmp_path / "inst.json"
+    inst.write_text(dumps(gen_gap(2, 0.1)))
+    fill = {"INST": str(inst), "DIR": str(tmp_path), "NODIR": str(tmp_path / "no" / "x.json"),
+            "OUT": str(tmp_path / "x.json")}
+    code, out, err = run(capsys, [fill.get(arg, arg) for arg in argv])
+    assert code == 2 and out == ""
+    assert "Traceback" not in err
+    assert not (tmp_path / "x.json").exists()
+
+
+def test_out_of_memory_exits_4():
+    # within 1 GB of address space, as perfbench/worker.py runs, the 74.5 GiB draw fails at once
+    def limit():
+        resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+
+    env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).parents[1]), "OPENBLAS_NUM_THREADS": "1"}
+    proc = subprocess.run(
+        [sys.executable, "-m", "contract_forge.cli", "gen", "random", "--n", "100000", "--m", "100000"],
+        preexec_fn=limit, env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 4 and proc.stdout == ""
+    assert "resource limit" in proc.stderr and "Traceback" not in proc.stderr
 
 
 def _separation_json(probs):

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import contract_forge.generators as g
-from contract_forge import cli, exact
+from contract_forge import cli, delta_solver, exact
 from contract_forge import (
     ExplicitSetting,
     ProductSetting,
@@ -324,6 +324,26 @@ def test_contract_that_misses_ic_raises(monkeypatch, tmp_path, capsys):
     inst = tmp_path / "inst.json"
     inst.write_text(dumps(setting))
     code = cli.main(["solve", "--instance", str(inst)])
+    out, err = capsys.readouterr()
+    assert code == 4 and out == ""
+    assert "misses IC" in err
+
+
+def test_delta_contract_that_misses_ic_raises(monkeypatch, tmp_path, capsys):
+    # the same check guards delta_solver's read-off, at the same tolerance
+    read_contract = exact.read_contract
+    monkeypatch.setattr(
+        delta_solver, "read_contract",
+        lambda setting, action, outcomes, primal, base: read_contract(
+            setting, action, outcomes, primal / 2, base=base / 2
+        ),
+    )
+    setting = g.gen_gap(2, 0.1)
+    with pytest.raises(ResourceError):
+        delta_solver.min_payment_delta(setting, 1, 0.1)
+    inst = tmp_path / "inst.json"
+    inst.write_text(dumps(setting))
+    code = cli.main(["delta-solve", "--instance", str(inst), "--delta", "0.1"])
     out, err = capsys.readouterr()
     assert code == 4 and out == ""
     assert "misses IC" in err

@@ -118,6 +118,18 @@ def test_product_to_explicit_column_order():
         assert explicit.dist[0][b] == pytest.approx(outcome_probability(setting, 0, b))
 
 
+def test_outcome_rewards_add_item_rewards_in_item_order():
+    setting = gen_random(3, 7, 4)
+    outcomes = np.arange(1 << 7)
+    loop = [float(sum(r for j, r in enumerate(setting.rewards) if (o >> j) & 1)) for o in outcomes]
+    assert m.outcome_rewards(setting, outcomes).tolist() == loop
+    explicit = product_to_explicit(setting)
+    assert explicit.outcome_rewards.tolist() == loop
+    assert m.outcome_rewards(explicit, [5, 0]).tolist() == [loop[5], loop[0]]
+    with pytest.raises(InputError):
+        m.outcome_rewards(explicit, [1 << 7])
+
+
 def test_product_to_explicit_capacity():
     big = ProductSetting(costs=(0.0,), rewards=tuple([1.0] * 21), probs=(tuple([0.5] * 21),))
     with pytest.raises(CapacityError):
@@ -220,8 +232,6 @@ def test_setting_json_requires_free_action():
     data = {"kind": "product", "costs": [0.5, 1.0], "rewards": [10.0], "probs": [[0.3], [0.6]]}
     with pytest.raises(InputError):
         m.setting_from_dict(data)
-    setting = m.setting_from_dict(data, allow_no_free_action=True)
-    assert setting.costs[0] == 0.5
 
 
 def test_contract_json_round_trip():
