@@ -48,9 +48,6 @@ from .model import (
 
 TAU = 1.0 + math.sqrt(2.0)
 ETA_MAX_NEGATIVE_PAIR = 1.0 / 625.0
-# QueryOracle.query draws its uniforms this many rows at a time, so its
-# temporaries stay bounded however many queries are asked for.
-QUERY_BLOCK_ROWS = 1 << 12
 
 
 def required_samples(n: int, eta: float, eps: float, gamma: float) -> int:
@@ -88,6 +85,8 @@ class QueryOracle:
             raise InputError("hidden setting must be a product or explicit setting")
         if isinstance(hidden, ProductSetting) and hidden.m > MAX_ITEMS:
             raise CapacityError(f"{hidden.m} items do not fit a 64-bit outcome bitmask")
+        if int(seed) < 0:
+            raise InputError(f"seed must be nonnegative, got {seed}")
         self.hidden = hidden
         self.seed = int(seed)
         self._rng = np.random.default_rng(self.seed)
@@ -96,25 +95,23 @@ class QueryOracle:
         self._rng = np.random.default_rng(self.seed)
 
     def query(self, action: int, size: int = 1) -> np.ndarray:
-        """`size` outcome identifiers drawn independently from `action`'s distribution."""
-        self._check(action, size)
-        if isinstance(self.hidden, ProductSetting):
-            row = self.hidden.probs[action]
-            weights = np.int64(1) << np.arange(row.size, dtype=np.int64)
-            out = np.empty(size, dtype=np.int64)
-            # block by block draws the same stream as one (size, m) draw
-            for start in range(0, size, QUERY_BLOCK_ROWS):
-                bits = self._rng.random((min(QUERY_BLOCK_ROWS, size - start), row.size)) < row
-                out[start : start + len(bits)] = bits.astype(np.int64) @ weights
-            return out
-        row = self.hidden.dist[action]
-        return self._rng.choice(row.size, size=size, p=row).astype(np.int64)
+        """`size` outcome identifiers drawn independently from `action`'s distribution.
+
+        The outcomes of sample_counts(action, size), each repeated by its
+        count, in an order shuffled by the oracle's generator.  So it shares
+        sample_counts' cap: ids spread over more than PARTIALS_CAP outcomes
+        raise CapacityError, which needs more than PARTIALS_CAP queries.
+        """
+        outcomes, counts = self.sample_counts(action, size)
+        ids = np.repeat(outcomes, counts)
+        self._rng.shuffle(ids)
+        return ids
 
     def sample_counts(self, action: int, size: int) -> Tuple[np.ndarray, np.ndarray]:
         """The outcomes seen in `size` queries of `action`, ascending, and how often.
 
-        Distributed as np.unique(query(action, size), return_counts=True), that
-        is Multinomial(size, q_action), without drawing the queries one by one.
+        The counts are Multinomial(size, q_action), drawn without drawing the
+        queries one by one; query(action, size) repeats each outcome by its count.
         An explicit setting draws one multinomial over its outcomes.  A product
         setting starts from one partial outcome (no item) holding all `size`
         queries and, item by item, splits each partial's count binomially
@@ -127,14 +124,13 @@ class QueryOracle:
         if size > np.iinfo(np.int64).max:
             raise CapacityError(f"{size} queries per action exceed a 64-bit count")
         if isinstance(self.hidden, ExplicitSetting):
-            # validation lets entries dip to -TOL_VALID and rows sum within it of 1
-            row = np.clip(self.hidden.dist[action], 0.0, None)
+            row = self.hidden.dist[action]  # sums to within TOL_VALID of 1
             counts = self._rng.multinomial(size, row / row.sum())
             outcomes = np.flatnonzero(counts)
             return outcomes, counts[outcomes]
         masks = np.zeros(1, dtype=np.int64)
         counts = np.array([size], dtype=np.int64)
-        for j, q in enumerate(np.clip(self.hidden.probs[action], 0.0, 1.0)):
+        for j, q in enumerate(self.hidden.probs[action]):
             taken = self._rng.binomial(counts, q)
             left = counts - taken
             out, into = left > 0, taken > 0

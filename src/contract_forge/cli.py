@@ -5,7 +5,7 @@ verify.  Instances and contracts travel as JSON (see docs/formats.md);
 results go to stdout as JSON wrapped in a provenance envelope, experiment
 tables go to stdout as CSV with a '#'-prefixed provenance line, and anything
 meant for humans goes to stderr.  A handler returns its stdout text and
-the files it writes, and main writes them only once it has returned.  Exit
+the files it writes, and main writes them, all or none, once it has returned.  Exit
 codes: 0 ok, 2 bad input or an unreadable or unwritable path, 3 `verify`
 found the condition violated, 4 resource limits or memory; stdout stays
 empty on 2 and 4.
@@ -14,10 +14,12 @@ empty on 2 and 4.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import io
 import json
 import math
+import os
 import sys
 from dataclasses import astuple, dataclass, field, fields
 from typing import Optional
@@ -47,7 +49,6 @@ from .model import (
     contract_to_dict,
     dumps,
     ic_slack,
-    item_count,
     load_contract,
     load_json,
     load_setting,
@@ -214,7 +215,7 @@ def cmd_oracle(args) -> Output:
 
 def cmd_transform(args) -> Output:
     setting = load_setting(args.instance)
-    contract = load_contract(args.contract, item_count(setting))
+    contract = load_contract(args.contract, setting)
     if args.to == "ic":
         res = delta_to_ic(setting, contract, args.delta)
         out = res.contract
@@ -232,6 +233,8 @@ def cmd_transform(args) -> Output:
 
 
 def cmd_blackbox(args) -> Output:
+    if args.trials < 1:
+        raise InputError(f"--trials must be at least 1, got {args.trials}")
     setting = load_setting(args.instance)
     params = {"eps": args.eps, "gamma": args.gamma, "seed": args.seed, "trials": args.trials}
     rows = []
@@ -302,7 +305,7 @@ def cmd_verify(args) -> Output:
     if not (math.isfinite(tol) and tol >= 0.0):
         raise InputError(f"--tol must be a finite nonnegative number, got {tol}")
     setting = load_setting(args.instance)
-    contract = load_contract(args.contract, item_count(setting))
+    contract = load_contract(args.contract, setting)
     slack = ic_slack(setting, contract, args.action, args.delta, args.notion)
     notion = args.notion or "add"  # ic_slack takes no notion only at delta = 0
     ok = slack >= -tol * money_unit(setting)
@@ -421,6 +424,35 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _write_files(files: dict) -> None:
+    """Write every file or none, as far as the targets allow.  A missing or
+    regular target (symlinks followed) is written under a temporary name beside
+    it, and all are renamed once every write has succeeded.  Any other target,
+    such as a device or a FIFO, cannot be replaced: it is opened with the
+    temporaries and written after the renames."""
+    temps, streams = {}, {}
+    try:
+        with contextlib.ExitStack() as stack:
+            for path, text in files.items():
+                if os.path.exists(path) and not os.path.isfile(path):
+                    streams[path] = stack.enter_context(open(path, "w"))  # a directory raises here
+                    continue
+                real = os.path.realpath(path)
+                temp = f"{real}.{os.getpid()}.tmp"
+                temps[path] = (temp, real)
+                with open(temp, "w") as fh:
+                    fh.write(text)
+            for path, (temp, real) in temps.items():
+                os.replace(temp, real)
+            for path, fh in streams.items():
+                fh.write(files[path])
+    except OSError as exc:
+        for temp, _ in temps.values():
+            with contextlib.suppress(OSError):
+                os.remove(temp)
+        raise OSError(exc.errno, exc.strerror, path) from None  # name the target, not its temporary
+
+
 def main(argv=None) -> int:
     parser = build_parser()
     try:
@@ -429,9 +461,7 @@ def main(argv=None) -> int:
         return int(exc.code or 0)
     try:
         out = args.handler(args)
-        for path, text in out.files.items():
-            with open(path, "w") as fh:
-                fh.write(text)
+        _write_files(out.files)
     except (InputError, OSError) as exc:  # OSError: an unreadable input or unwritable output path
         _diag(f"error: {exc}")
         return 2

@@ -32,6 +32,7 @@ from .model import (
     MULTIPLICATIVE,
     TOL_IC,
     TOL_TIE,
+    TOL_ZERO,
     ProductSetting,
     Setting,
     Sparse,
@@ -39,7 +40,6 @@ from .model import (
     all_subset_probabilities,
     expected_rewards,
     ic_slack,
-    make_sparse,
     money_unit,
     normalize_notion,
     outcome_probabilities,
@@ -111,7 +111,8 @@ def read_contract(
 ) -> Sparse:
     """The contract a payment-LP primal describes: y_S / q_{a,S} on each paid outcome, plus base.
 
-    primal[k] is the expected payment y_S on outcome S = outcomes[k].
+    primal[k] is the expected payment y_S on outcome S = outcomes[k]. Payments
+    of at most model.TOL_ZERO money units (model.money_unit) are dropped.
     """
     paid = np.flatnonzero(primal > 0.0)
     q_paid = outcome_probabilities(setting, outcomes[paid])[action]
@@ -119,7 +120,8 @@ def read_contract(
         pay = primal[paid] / q_paid
     if not (np.isfinite(pay) & (pay > 0.0)).all():
         raise CapacityError(f"a payment for action {action} falls outside float64's range")
-    return make_sparse(base, dict(zip(outcomes[paid], pay)), unit=money_unit(setting))
+    kept = pay > TOL_ZERO * money_unit(setting)
+    return Sparse(base=base, payments=dict(zip(outcomes[paid][kept].tolist(), pay[kept].tolist())))
 
 
 def check_ic(setting: Setting, contract: Sparse, action: int, delta: float, notion: str) -> None:

@@ -33,9 +33,12 @@ def gen_gap(c: int, gamma: float) -> ProductSetting:
     if not (0.0 < gamma <= 0.25):
         raise InputError(f"gap family needs gamma in (0, 1/4], got {gamma}")
     c = int(c)
+    try:  # the largest money amount: every cost is below it
+        reward = gamma ** (1 - c)
+    except OverflowError:
+        raise InputError(f"gap family reward 1/gamma^(c-1) passes float64 at c={c}, gamma={gamma}")
     probs = tuple((gamma ** (c - i),) for i in range(1, c + 1))
     costs = tuple(gamma ** (1 - i) - i + (i - 1) * gamma for i in range(1, c + 1))
-    reward = gamma ** (1 - c)
     return ProductSetting(costs=costs, rewards=(reward,), probs=probs)
 
 
@@ -210,11 +213,14 @@ def gen_minmax(odds: Sequence[int]) -> MinMaxGadget:
         if a < 3:
             raise InputError(f"every odds value must be an integer >= 3, got {a}")
     m = len(odds)
-    q1 = tuple(1.0 / (a + 1) for a in odds)
-    q2 = tuple(a / (a + 1) for a in odds)
+    try:
+        q1 = tuple(1.0 / (a + 1) for a in odds)
+        q2 = tuple(a / (a + 1) for a in odds)
+        odds_root = math.sqrt(math.prod(odds))
+    except OverflowError:
+        raise InputError("an odds value or the product of the odds passes float64")
     q3 = (1.0,) + (0.5,) * (m - 1)
     full_set_prob = float(np.prod(q1))
-    odds_root = math.sqrt(float(np.prod(odds)))
     margin = 1.0 - full_set_prob * odds_root * 2 ** (m - 1)
     effort_cost = 1.0 / (max(odds) + 1)
     reward = 2.0 / margin
@@ -337,6 +343,8 @@ def gen_random(n: int, m: int, seed: int) -> ProductSetting:
     """
     if n < 1 or m < 1:
         raise InputError("need n >= 1 actions and m >= 1 items")
+    if seed < 0:
+        raise InputError(f"seed must be nonnegative, got {seed}")
     rng = np.random.default_rng(seed)
     probs = rng.uniform(size=(n, m))
     rewards = rng.uniform(size=m)

@@ -151,9 +151,7 @@ def optimal_separable(
     candidates = []
     for i in range(setting.n):
         rivals = np.arange(setting.n) != i
-        # validation lets a probability dip to -TOL_VALID; solve_lp needs a cost >= 0
-        cost = np.maximum(marg[i], 0.0)
-        sol = solve_lp(cost, marg[rivals] - marg[i], costs[rivals] - costs[i] + delta)
+        sol = solve_lp(marg[i], marg[rivals] - marg[i], costs[rivals] - costs[i] + delta)
         if sol.status == OPTIMAL:
             payments = tuple(float(p) for p in sol.primal)
             candidates.append((payments, i, float(rewards[i] - sol.objective_value)))

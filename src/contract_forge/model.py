@@ -45,8 +45,9 @@ from .errors import CapacityError, InputError
 
 # Money tolerances, in units of money_unit(setting): near-ties in utility and
 # payoff; default IC slack; the welfare floor; payments and free-action costs
-# counted as zero. TOL_VALID is the slack for probabilities and row sums, and
-# in money units for the signs of costs and rewards.
+# counted as zero. TOL_VALID is the slack for probabilities and row sums
+# (a setting stores its probabilities clipped into range once they pass), and
+# in money units for the signs of costs, rewards and contract payments.
 TOL_TIE = 1e-9
 TOL_IC = 1e-9
 TOL_WELFARE = 1e-7
@@ -133,6 +134,7 @@ class ProductSetting(ArrayFields):
         if losing.size:
             i = losing[0]
             raise InputError(f"action {i} has negative expected welfare {welfare[i]}")
+        object.__setattr__(self, "probs", read_only_array(np.clip(probs, 0.0, 1.0), 2, "probs"))
 
     @property
     def n(self) -> int:
@@ -171,6 +173,7 @@ class ExplicitSetting(ArrayFields):
         off = np.flatnonzero(np.abs(sums - 1.0) > TOL_VALID)
         if off.size:
             raise InputError(f"dist row {off[0]} sums to {sums[off[0]]}, expected 1")
+        object.__setattr__(self, "dist", read_only_array(np.clip(dist, 0.0, None), 2, "dist"))
 
     @property
     def n(self) -> int:
@@ -214,12 +217,12 @@ class Sparse:
 
     def __post_init__(self):
         self.base = _finite_number(self.base, "base payment")
-        if self.base < -TOL_VALID:
+        if self.base < 0.0:
             raise InputError("base payment must be nonnegative")
         cleaned = {}
         for outcome, pay in self.payments.items():
             pay = _finite_number(pay, f"payment for outcome {outcome}")
-            if pay < -TOL_VALID:
+            if pay < 0.0:
                 raise InputError(f"payment for outcome {outcome} is negative")
             if pay > 0.0:
                 cleaned[int(outcome)] = pay
@@ -249,7 +252,7 @@ class Separable:
 
     def __post_init__(self):
         pays = tuple(_finite_number(p, "item payment") for p in self.item_payments)
-        if any(p < -TOL_VALID for p in pays):
+        if any(p < 0.0 for p in pays):
             raise InputError("item payments must be nonnegative")
         self.item_payments = pays
 
@@ -268,16 +271,6 @@ class Mixed:
 
 
 Contract = Union[Sparse, Linear, Separable, Mixed]
-
-
-def make_sparse(base: float, payments: dict, unit: float = 1.0) -> Sparse:
-    """Build a Sparse contract, dropping numerically-zero payments.
-
-    `unit` is the setting's money_unit; payments up to TOL_ZERO of it count
-    as zero.
-    """
-    kept = {int(k): float(v) for k, v in payments.items() if float(v) > TOL_ZERO * unit}
-    return Sparse(base=float(base), payments=kept)
 
 
 # ---------------------------------------------------------------------------
@@ -491,11 +484,19 @@ MAX_ITEMS = 63
 
 
 def all_subset_probabilities(probs: np.ndarray) -> np.ndarray:
-    """(d, m) per-item probabilities -> (d, 2^m) subset probabilities in bitmask column order."""
-    out = np.ones((probs.shape[0], 1))
-    for j in range(probs.shape[1]):
-        q = probs[:, j : j + 1]
-        out = np.hstack([out * (1.0 - q), out * q])
+    """(d, m) per-item probabilities -> (d, 2^m) subset probabilities in bitmask column order.
+
+    Fills one array: for item j the first 2^j columns, the subsets of the
+    items before j, are copied times q_j into the next 2^j and scaled by
+    1 - q_j in place.
+    """
+    d, m = probs.shape
+    out = np.empty((d, 1 << m))
+    out[:, 0] = 1.0
+    for j in range(m):
+        q, k = probs[:, j : j + 1], 1 << j
+        np.multiply(out[:, :k], q, out=out[:, k : 2 * k])
+        out[:, :k] *= 1.0 - q
     return out
 
 
@@ -619,24 +620,40 @@ def contract_to_dict(contract: Contract) -> dict:
     raise InputError(f"unknown contract type {type(contract).__name__}")
 
 
-def contract_from_dict(data: dict, items: Optional[int] = None) -> Contract:
-    """Contract from its JSON form; `items` (item_count) bounds the item indices."""
+def contract_from_dict(data: dict, setting: Optional[Setting] = None) -> Contract:
+    """Contract from its JSON form, read for `setting` when one is given.
+
+    The setting bounds the item indices (item_count), and a payment in
+    [-TOL_VALID, 0) money units (money_unit) reads as 0. Without a setting
+    any negative payment is rejected.
+    """
     if not isinstance(data, dict) or "kind" not in data:
         raise InputError("contract JSON must be an object with a 'kind' field")
     kind = data["kind"]
+    items = None if setting is None else item_count(setting)
+    floor = 0.0 if setting is None else -TOL_VALID * money_unit(setting)
+
+    def amount(value, name: str) -> float:
+        value = _finite_number(value, name)
+        if value < floor:
+            raise InputError(f"{name} is negative")
+        return max(value, 0.0)
+
     try:
         if kind == "sparse":
-            payments = {
-                items_to_outcome(entry["outcome"], items): entry["pay"]
-                for entry in data.get("payments", [])
-            }
-            return Sparse(base=data.get("base", 0.0), payments=payments)
+            payments = {}
+            for entry in data.get("payments", []):
+                outcome = items_to_outcome(entry["outcome"], items)
+                payments[outcome] = amount(entry["pay"], f"payment for outcome {outcome}")
+            return Sparse(base=amount(data.get("base", 0.0), "base payment"), payments=payments)
         if kind == "linear":
             return Linear(alpha=data["alpha"])
         if kind == "separable":
-            return Separable(item_payments=tuple(data["item_payments"]))
+            return Separable(
+                item_payments=tuple(amount(p, "item payment") for p in data["item_payments"])
+            )
         if kind == "mixed":
-            sparse = contract_from_dict(data["sparse"], items)
+            sparse = contract_from_dict(data["sparse"], setting)
             if not isinstance(sparse, Sparse):
                 raise InputError("mixed contract's 'sparse' part must be a sparse contract")
             return Mixed(sparse=sparse, alpha=data["alpha"])
@@ -671,6 +688,6 @@ def load_setting(path: Optional[str] = None) -> Setting:
     return setting_from_dict(load_json(path))
 
 
-def load_contract(path: Optional[str] = None, items: Optional[int] = None) -> Contract:
-    """Contract JSON at `path`; `items` (item_count) bounds the item indices."""
-    return contract_from_dict(load_json(path), items)
+def load_contract(path: Optional[str] = None, setting: Optional[Setting] = None) -> Contract:
+    """Contract JSON at `path`, read for `setting` as contract_from_dict reads it."""
+    return contract_from_dict(load_json(path), setting)

@@ -62,8 +62,8 @@ def _scale_contract(contract: Contract, factor: float) -> Tuple[Sparse, float]:
         sparse, _ = _scale_contract(contract.sparse, factor)
         return sparse, factor * contract.alpha
     raise InputError(
-        f"{type(contract).__name__} contracts cannot carry a linear component; "
-        "convert to outcome payments first"
+        f"{type(contract).__name__} contracts do not split into outcome payments and a "
+        "linear share; convert to outcome payments first"
     )
 
 
@@ -113,16 +113,6 @@ def delta_to_ir(setting: Setting, contract: Contract, delta: float) -> Contract:
     action, payoff = designated_action(setting, contract, delta)
     if payoff <= delta:
         return Sparse()
-    if isinstance(contract, Sparse):
-        return Sparse(base=contract.base + delta, payments=dict(contract.payments))
-    if isinstance(contract, Linear):
-        return Mixed(sparse=Sparse(base=delta), alpha=contract.alpha)
-    if isinstance(contract, Mixed):
-        lifted = Sparse(
-            base=contract.sparse.base + delta, payments=dict(contract.sparse.payments)
-        )
-        return Mixed(sparse=lifted, alpha=contract.alpha)
-    raise InputError(
-        f"{type(contract).__name__} contracts have no uniform component to lift; "
-        "convert to outcome payments first"
-    )
+    sparse, alpha = _scale_contract(contract, 1.0)
+    lifted = Sparse(base=sparse.base + delta, payments=sparse.payments)
+    return lifted if isinstance(contract, Sparse) else Mixed(sparse=lifted, alpha=alpha)

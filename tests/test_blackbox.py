@@ -9,9 +9,8 @@ import numpy as np
 import pytest
 
 import contract_forge
-from contract_forge import cli
+from contract_forge import blackbox, cli
 from contract_forge.blackbox import (
-    QUERY_BLOCK_ROWS,
     EmpiricalModel,
     QueryOracle,
     blackbox_contract,
@@ -250,7 +249,7 @@ def test_negative_pair_distinguishing_event_rate():
 EXPLICIT_HIDDEN = ExplicitSetting(
     costs=(0.0, 0.2),
     outcome_rewards=(0.0, 0.3, 0.6, 1.0),
-    # validation lets an entry dip just below 0; that outcome is never drawn
+    # validation lets an entry dip just below 0 and stores it as 0; that outcome is never drawn
     dist=((0.5, 0.25, 0.25, 0.0), (0.1, 0.2, 0.7 + 1e-10, -1e-10)),
 )
 
@@ -343,12 +342,26 @@ def test_sampling_past_partial_cap_exits_4(tmp_path, capsys):
     assert code == 4 and "resource limit" in err and "Traceback" not in err
 
 
-def test_query_blocks_match_one_draw():
-    hidden = gen_random(2, 5, 1)
-    size = 3 * QUERY_BLOCK_ROWS + 17
-    got = QueryOracle(hidden, seed=31).query(1, size)
-    bits = np.random.default_rng(31).random((size, hidden.m)) < hidden.probs[1]
-    np.testing.assert_array_equal(got, bits.astype(np.int64) @ (1 << np.arange(hidden.m)))
+@pytest.mark.parametrize("hidden", [gen_random(2, 5, 1), EXPLICIT_HIDDEN])
+def test_query_repeats_sample_counts(hidden):
+    size = 5000
+    ids = QueryOracle(hidden, seed=31).query(1, size)
+    outcomes, counts = QueryOracle(hidden, seed=31).sample_counts(1, size)
+    got = np.unique(ids, return_counts=True)
+    np.testing.assert_array_equal(got[0], outcomes)
+    np.testing.assert_array_equal(got[1], counts)
+    assert ids.dtype == np.int64
+
+
+def test_query_past_partial_cap_raises(monkeypatch):
+    # query shares sample_counts' cap: ids spread over more outcomes than
+    # PARTIALS_CAP raise, while as many ids on few outcomes still come back
+    monkeypatch.setattr(blackbox, "PARTIALS_CAP", 8)
+    wide = ProductSetting(costs=(0.0, 0.1), rewards=(0.25,) * 4, probs=((0.5,) * 4, (0.6,) * 4))
+    with pytest.raises(CapacityError):
+        QueryOracle(wide, seed=0).query(0, 1000)
+    sure = ProductSetting(costs=(0.0, 0.1), rewards=(0.25,) * 4, probs=((1.0, 0.0, 1.0, 0.0),) * 2)
+    np.testing.assert_array_equal(QueryOracle(sure, seed=0).query(0, 1000), np.full(1000, 0b101))
 
 
 @pytest.mark.parametrize(

@@ -4,6 +4,7 @@ import io
 import json
 import os
 import resource
+import stat
 import subprocess
 import sys
 import tempfile
@@ -424,13 +425,15 @@ def test_exit_codes(tmp_path, capsys):
         ["solve", "--instance", "DIR"],
         ["solve", "--instance", "INST", "--contract-out", "DIR"],
         ["delta-solve", "--instance", "INST", "--delta", "0.1", "--trace", "DIR", "--contract-out", "OUT"],
+        ["delta-solve", "--instance", "INST", "--delta", "0.1", "--trace", "OUT", "--contract-out", "NODIR"],
         ["verify", "--instance", "INST", "--contract", "DIR", "--action", "0"],
         ["gen", "gap", "--c", "2", "--gamma", "0.1", "-o", "DIR"],
         ["gen", "sat", "--cnf", "DIR"],
         ["solve", "--instance", "INST", "--seed", "3"],
     ],
     ids=["contract-out-no-dir", "gen-gap-contract-out", "instance-dir", "contract-out-dir",
-         "trace-dir", "contract-dir", "output-dir", "cnf-dir", "solve-seed"],
+         "trace-dir", "trace-then-contract-out-no-dir", "contract-dir", "output-dir", "cnf-dir",
+         "solve-seed"],
 )
 def test_failed_run_writes_nothing(tmp_path, capsys, argv):
     # exit 2 with nothing on stdout and no file written, whether the path or the option is wrong
@@ -441,7 +444,85 @@ def test_failed_run_writes_nothing(tmp_path, capsys, argv):
     code, out, err = run(capsys, [fill.get(arg, arg) for arg in argv])
     assert code == 2 and out == ""
     assert "Traceback" not in err
-    assert not (tmp_path / "x.json").exists()
+    assert os.listdir(tmp_path) == ["inst.json"]
+
+
+def test_output_to_a_device_pipe_or_symlink_is_written_through(tmp_path, capsys):
+    # only a regular or missing target is renamed onto; others are opened as they are
+    inst = tmp_path / "inst.json"
+    inst.write_text(dumps(gen_gap(2, 0.1)))
+    code, out, _ = run(capsys, ["solve", "--instance", str(inst), "--contract-out", os.devnull])
+    assert code == 0 and out
+    assert stat.S_ISCHR(os.stat(os.devnull).st_mode)
+    read_fd, write_fd = os.pipe()
+    try:
+        code, _, _ = run(capsys, ["solve", "--instance", str(inst), "--contract-out", f"/dev/fd/{write_fd}"])
+        os.close(write_fd)
+        with os.fdopen(read_fd) as fh:
+            piped = fh.read()
+    finally:
+        with contextlib.suppress(OSError):
+            os.close(write_fd)
+    assert code == 0 and json.loads(piped)
+    target, link = tmp_path / "target.json", tmp_path / "link.json"
+    target.write_text("old")
+    link.symlink_to(target)
+    code, _, _ = run(capsys, ["solve", "--instance", str(inst), "--contract-out", str(link)])
+    assert code == 0 and link.is_symlink() and target.read_text() == piped
+    assert sorted(os.listdir(tmp_path)) == ["inst.json", "link.json", "target.json"]
+
+
+_NORMALIZED = dumps(gen_random(2, 3, 0))
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["gen", "gap", "--c", "600", "--gamma", "0.25"],
+        ["gen", "random", "--n", "2", "--m", "3", "--seed", "-1"],
+        ["gen", "minmax", "--a", str(10**200), str(10**200)],
+        ["gen", "minmax", "--a", str(10**310), "3"],
+        ["blackbox", "--instance", "INST", "--eps", "0.2", "--gamma", "0.1", "--seed", "-1"],
+        ["blackbox", "--instance", "INST", "--eps", "0.2", "--gamma", "0.1", "--trials", "0"],
+        ["blackbox", "--instance", "INST", "--eps", "0.2", "--gamma", "0.1", "--trials", "-3"],
+    ],
+    ids=["gap-overflow", "random-negative-seed", "minmax-overflow", "minmax-one-odds-overflow",
+         "blackbox-negative-seed", "blackbox-no-trials", "blackbox-negative-trials"],
+)
+def test_parameter_out_of_range_exits_2(tmp_path, capsys, argv):
+    inst = tmp_path / "inst.json"
+    inst.write_text(_NORMALIZED)
+    code, out, err = run(capsys, [str(inst) if arg == "INST" else arg for arg in argv])
+    assert code == 2 and out == "" and "Traceback" not in err
+
+
+def test_delta_solve_reads_probabilities_within_validation_slack(tmp_path, capsys):
+    # validation lets a probability lie TOL_VALID outside [0, 1]; the separation
+    # oracle then sees the clipped value, so the answer is the clipped setting's
+    outputs = []
+    for low, high in ((-1e-10, 1.0000000001), (0.0, 1.0)):
+        inst = tmp_path / "inst.json"
+        inst.write_text(json.dumps({"kind": "product", "costs": [0, 0.2], "rewards": [1, 0.5],
+                                    "probs": [[0.2, low], [0.7, high]]}))
+        code, out, _ = run(capsys, ["delta-solve", "--instance", str(inst), "--delta", "0.1"])
+        assert code == 0
+        outputs.append(out)
+    assert outputs[0] == outputs[1]
+
+
+def test_verify_sign_tolerance_is_in_money_units(tmp_path, capsys):
+    # a payment of -2e-18 in units of 1, or -2e-9 in units of 1e9, reads as 0;
+    # the free contract then misses action 1's IC condition by its cost
+    results = []
+    for unit in (1.0, 1e9):
+        inst, con = tmp_path / "inst.json", tmp_path / "con.json"
+        inst.write_text(json.dumps({"kind": "product", "costs": [0.0, 0.2 * unit], "rewards": [1.0 * unit, 0.5 * unit],
+                                    "probs": [[0.2, 0.3], [0.7, 0.9]]}))
+        con.write_text(json.dumps({"kind": "sparse", "payments": [{"outcome": [1], "pay": -2e-18 * unit}]}))
+        code, out, err = run(capsys, ["verify", "--instance", str(inst), "--contract", str(con), "--action", "1"])
+        results.append((code, result_of(out)["slack"]))
+    assert results[0][0] == results[1][0] == 3
+    assert results[1][1] == pytest.approx(1e9 * results[0][1], rel=1e-15)
 
 
 def test_out_of_memory_exits_4():

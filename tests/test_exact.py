@@ -347,3 +347,13 @@ def test_delta_contract_that_misses_ic_raises(monkeypatch, tmp_path, capsys):
     out, err = capsys.readouterr()
     assert code == 4 and out == ""
     assert "misses IC" in err
+
+
+@pytest.mark.parametrize("scale", [1.0, 1e9])
+def test_read_contract_drops_payments_up_to_tol_zero(scale):
+    # TOL_ZERO is in money units: 5e-13 of them is dropped at either scale
+    setting = rescaled(ProductSetting(costs=(0.0, 0.1), rewards=(1.0,), probs=((0.2,), (0.8,))), scale)
+    primal = np.array([1e-13, 0.32]) * scale  # y_S = q_{1,S} x_S: x = 5e-13 and 0.4 units
+    contract = exact.read_contract(setting, 1, np.array([0, 1]), primal)
+    assert list(contract.payments) == [1]
+    assert contract.payments[1] == pytest.approx(0.4 * scale, rel=1e-15)

@@ -227,6 +227,16 @@ def test_minmax_rejects_small_odds():
         g.gen_minmax([])
 
 
+def test_minmax_odds_product_past_int64():
+    # the product of the odds once wrapped in int64: to a wrong root, or a negative one
+    assert g.gen_minmax([4294967297, 4294967297]).odds_root == 4294967297.0
+    assert g.gen_minmax([3] * 40).odds_root == pytest.approx(3.0**20, rel=1e-15)
+    with pytest.raises(InputError):
+        g.gen_minmax([10**200, 10**200])
+    with pytest.raises(InputError):
+        g.gen_minmax([10**310, 3])  # one odds value alone passes float64
+
+
 def test_minmax_target_payment():
     gadget = g.gen_minmax([3, 3])
     assert gadget.target_payment(0.0) == pytest.approx(0.25 / (5 / 8))

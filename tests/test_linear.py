@@ -154,7 +154,7 @@ def test_separable_gap_instance():
 
 def test_separable_takes_probabilities_below_zero_by_roundoff():
     # validation lets a probability dip to -TOL_VALID, which would make an
-    # item marginal a negative LP cost; the cost is clipped at 0
+    # item marginal a negative LP cost; the setting stores it clipped at 0
     base = gen_random(3, 4, seed=5)
     probs = base.probs.copy()
     probs[1, 2] = -5e-10

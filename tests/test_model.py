@@ -1,5 +1,6 @@
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -210,8 +211,63 @@ def test_validation_errors():
 def test_sparse_drops_zero_payments():
     con = Sparse(payments={1: 0.0, 2: 3.0})
     assert con.payments == {2: 3.0}
-    built = m.make_sparse(0.0, {1: 1e-15, 3: 0.4})
-    assert built.payments == {3: 0.4}
+
+
+def test_settings_store_probabilities_clipped():
+    # validation lets a probability lie TOL_VALID outside its bound; the setting stores it clipped
+    product = ProductSetting(
+        costs=(0.0, 0.2), rewards=(1.0, 0.5), probs=((0.2, -1e-10), (0.7, 1.0000000001))
+    )
+    assert product.probs.tolist() == [[0.2, 0.0], [0.7, 1.0]]
+    assert not product.probs.flags.writeable
+    assert json.loads(m.dumps(product))["probs"] == [[0.2, 0.0], [0.7, 1.0]]
+    explicit = ExplicitSetting(costs=(0.0,), outcome_rewards=(0.0, 1.0), dist=((1.0 + 1e-10, -1e-10),))
+    assert explicit.dist.tolist() == [[1.0 + 1e-10, 0.0]]  # rows keep their sums' slack
+
+
+@pytest.mark.parametrize("unit", [1.0, 1e9])
+def test_contract_signs_read_in_money_units(unit):
+    setting = rescaled(
+        ProductSetting(costs=(0.0, 0.2), rewards=(1.0, 0.5), probs=((0.2, 0.3), (0.7, 0.9))), unit
+    )
+    slack = -0.5 * m.TOL_VALID * m.money_unit(setting)
+    sparse = {"kind": "sparse", "base": slack, "payments": [{"outcome": [1], "pay": slack}]}
+    separable = {"kind": "separable", "item_payments": [slack, 1.0]}
+    assert m.contract_from_dict(sparse, setting) == Sparse()
+    assert m.contract_from_dict(separable, setting) == Separable(item_payments=(0.0, 1.0))
+    past = {"kind": "sparse", "payments": [{"outcome": [1], "pay": 4.0 * slack}]}
+    for data, within in ((sparse, None), (separable, None), (past, setting)):
+        with pytest.raises(InputError, match="negative"):
+            m.contract_from_dict(data, within)
+    for build in (
+        lambda: Sparse(base=-1e-300),
+        lambda: Sparse(payments={1: -1e-300}),
+        lambda: Separable(item_payments=(-1e-300,)),
+    ):
+        with pytest.raises(InputError):
+            build()
+
+
+def test_all_subset_probabilities_matches_hstack_form():
+    def hstacked(probs):
+        out = np.ones((probs.shape[0], 1))
+        for j in range(probs.shape[1]):
+            q = probs[:, j : j + 1]
+            out = np.hstack([out * (1.0 - q), out * q])
+        return out
+
+    rng = np.random.default_rng(3)
+    for d, items in ((1, 0), (2, 1), (3, 5), (4, 10)):
+        probs = rng.uniform(size=(d, items))
+        assert m.all_subset_probabilities(probs).tobytes() == hstacked(probs).tobytes()
+    probs = gen_random(3, 16, 0).probs
+    tracemalloc.start()
+    try:
+        result = m.all_subset_probabilities(probs)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.1 * result.nbytes  # one array, no copies of it
 
 
 def test_outcome_items_round_trip():
