@@ -43,6 +43,7 @@ from .generators import (
 from .linear import approx_linear_delta, optimal_linear, optimal_separable
 from .model import (
     ADDITIVE,
+    NOTION_ALIASES,
     Linear,
     Separable,
     TOL_IC,
@@ -254,28 +255,10 @@ def _read_formula(path: str):
         return parse_dimacs(fh.read())
 
 
-def _gen_minmax(args):
-    gadget = gen_minmax(args.a)
-    _diag(
-        "minmax: full_set_prob=%r odds_root=%r margin=%r effort_cost=%r"
-        % (gadget.full_set_prob, gadget.odds_root, gadget.margin, gadget.effort_cost)
-    )
-    return gadget.setting, None
-
-
-def _gen_a3(args):
-    adv = gen_delta_advantage(args.epsilon, args.delta)
-    _diag("a3: ic_opt=%r relaxed_payoff=%r action=%d" % (adv.ic_opt, adv.relaxed_payoff, adv.action))
-    return adv.setting, adv.contract
-
-
-def _gen_f(args):
-    gap = gen_separable_gap(args.delta)
-    _diag(
-        "f: best_payoff=%r separable_payoff=%r action=%d"
-        % (gap.best_payoff, gap.separable_payoff, gap.action)
-    )
-    return gap.setting, gap.contract
+def _noted(kind: str, made, *names: str):
+    """A construction's setting and documented contract; its named fields go to stderr."""
+    _diag(f"{kind}: " + " ".join(f"{name}={getattr(made, name)!r}" for name in names))
+    return made.setting, getattr(made, "contract", None)
 
 
 # gen kind -> builder of (setting, documented contract or None)
@@ -284,9 +267,12 @@ _GENERATORS = {
     "sat": lambda args: (gen_sat(_read_formula(args.cnf)), None),
     "product2": lambda args: (gen_product2(_read_formula(args.cnf), args.epsilon), None),
     "productc": lambda args: (gen_productc(_read_formula(args.cnf), args.c, args.epsilon), None),
-    "minmax": _gen_minmax,
-    "a3": _gen_a3,
-    "f": _gen_f,
+    "minmax": lambda args: _noted("minmax", gen_minmax(args.a),
+                                  "full_set_prob", "odds_root", "margin", "effort_cost"),
+    "a3": lambda args: _noted("a3", gen_delta_advantage(args.epsilon, args.delta),
+                              "ic_opt", "relaxed_payoff", "action"),
+    "f": lambda args: _noted("f", gen_separable_gap(args.delta),
+                             "best_payoff", "separable_payoff", "action"),
     "random": lambda args: (gen_random(args.n, args.m, seed=args.seed), None),
 }
 
@@ -333,28 +319,30 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=f"contract-forge {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("solve", help="optimal contract: one LP per action over its ratio front")
-    p.add_argument("--instance", help="instance JSON ('-' or omit for stdin)")
+    instance = argparse.ArgumentParser(add_help=False)
+    instance.add_argument("--instance", help="instance JSON ('-' or omit for stdin)")
+    contract_out = argparse.ArgumentParser(add_help=False)
+    contract_out.add_argument("--contract-out", help="also write the contract JSON here")
+    in_out = [instance, contract_out]
+
+    p = sub.add_parser(
+        "solve", parents=in_out, help="optimal contract: one LP per action over its ratio front"
+    )
     p.add_argument("--delta", type=float, default=0.0)
-    p.add_argument("--notion", default="mult", choices=["mult", "add", "multiplicative", "additive"])
-    p.add_argument("--contract-out", help="also write the winning contract JSON here")
+    p.add_argument("--notion", default="mult", choices=NOTION_ALIASES)
     p.set_defaults(handler=cmd_solve)
 
-    p = sub.add_parser("delta-solve", help="delta-IC solver by column generation")
-    p.add_argument("--instance", help="instance JSON ('-' or omit for stdin)")
+    p = sub.add_parser("delta-solve", parents=in_out, help="delta-IC solver by column generation")
     p.add_argument("--delta", type=float, required=True)
     p.add_argument("--action", type=int, default=None, help="target a single action")
     p.add_argument("--trace", help="write the per-round column-generation trace CSV here")
-    p.add_argument("--contract-out", help="also write the contract JSON here")
     p.set_defaults(handler=cmd_delta_solve)
 
-    p = sub.add_parser("linear", help="linear / separable contracts")
-    p.add_argument("--instance", help="instance JSON ('-' or omit for stdin)")
+    p = sub.add_parser("linear", parents=in_out, help="linear / separable contracts")
     p.add_argument("--delta", type=float, default=0.0)
     scheme = p.add_mutually_exclusive_group()
     scheme.add_argument("--gamma", type=float, default=None, help="run the welfare-share scheme")
     scheme.add_argument("--separable", action="store_true")
-    p.add_argument("--contract-out", help="also write the contract JSON here")
     p.set_defaults(handler=cmd_linear)
 
     p = sub.add_parser("oracle", help="likelihood-ratio separation oracle")
@@ -362,12 +350,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--eps", type=float, default=0.1)
     p.set_defaults(handler=cmd_oracle)
 
-    p = sub.add_parser("transform", help="repair a delta-IC contract")
-    p.add_argument("--instance", help="instance JSON ('-' or omit for stdin)")
+    p = sub.add_parser("transform", parents=in_out, help="repair a delta-IC contract")
     p.add_argument("--contract", required=True, help="contract JSON file")
     p.add_argument("--delta", type=float, required=True)
     p.add_argument("--to", required=True, choices=["ic", "ir"])
-    p.add_argument("--contract-out", help="also write the result contract JSON here")
     p.set_defaults(handler=cmd_transform)
 
     p = sub.add_parser("blackbox", help="query-model pipeline trials (CSV)")
@@ -394,13 +380,11 @@ def build_parser() -> argparse.ArgumentParser:
     g.add_argument("--epsilon", type=float, required=True)
     g = gen_sub.add_parser("minmax")
     g.add_argument("--a", type=int, nargs="+", required=True, help="integer odds, each >= 3")
-    g = gen_sub.add_parser("a3")
+    g = gen_sub.add_parser("a3", parents=[contract_out])
     g.add_argument("--epsilon", type=float, required=True)
     g.add_argument("--delta", type=float, required=True)
-    g.add_argument("--contract-out", help="also write the documented contract JSON here")
-    g = gen_sub.add_parser("f")
+    g = gen_sub.add_parser("f", parents=[contract_out])
     g.add_argument("--delta", type=float, required=True)
-    g.add_argument("--contract-out", help="also write the documented contract JSON here")
     g = gen_sub.add_parser("random")
     g.add_argument("--n", type=int, required=True)
     g.add_argument("--m", type=int, required=True)
@@ -409,12 +393,11 @@ def build_parser() -> argparse.ArgumentParser:
         g_parser.add_argument("-o", "--output", help="write instance JSON here instead of stdout")
         g_parser.set_defaults(handler=cmd_gen, contract_out=None)
 
-    p = sub.add_parser("verify", help="check a delta-IC condition")
-    p.add_argument("--instance", help="instance JSON ('-' or omit for stdin)")
+    p = sub.add_parser("verify", parents=[instance], help="check a delta-IC condition")
     p.add_argument("--contract", required=True)
     p.add_argument("--action", type=int, required=True)
     p.add_argument("--delta", type=float, default=0.0)
-    p.add_argument("--notion", choices=["mult", "add", "multiplicative", "additive"])
+    p.add_argument("--notion", choices=NOTION_ALIASES)
     p.add_argument(
         "--tol", type=float, default=None,
         help="slack tolerance, in units of the largest expected reward",

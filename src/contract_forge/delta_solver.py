@@ -42,6 +42,7 @@ from .model import (
     ProductSetting,
     Sparse,
     _check_action,
+    check_delta,
     expected_payment,
     outcome_probabilities,
 )
@@ -85,20 +86,11 @@ def min_payment_delta(setting: ProductSetting, action: int, delta: float) -> Del
     if not isinstance(setting, ProductSetting):
         raise InputError("min_payment_delta needs a product setting")
     _check_action(setting, action)
+    check_delta(delta)
     if not (delta > 0.0):
         raise InputError("delta must be positive; use exact.min_payment for delta=0")
     if 1.0 + delta == 1.0:  # the oracle's eps = delta would round its buckets to 1
         raise InputError(f"delta={delta} is finer than float64 resolves at 1")
-    if setting.n == 1:
-        return DeltaSolveResult(
-            action=0,
-            contract=Sparse(),
-            expected_payment=0.0,
-            gamma_star=0.0,
-            cut_outcomes=(),
-            dual_weights=(),
-            trace=(),
-        )
 
     pool, trace, value, lam, primal = _generate_columns(setting, action, delta)
     outcomes = np.fromiter(pool, dtype=np.int64, count=len(pool))

@@ -38,6 +38,7 @@ from .model import (
     Sparse,
     _check_action,
     all_subset_probabilities,
+    check_delta,
     expected_rewards,
     ic_slack,
     money_unit,
@@ -84,8 +85,7 @@ def min_payment(
     ResourceError rather than return a contract that `verify` rejects.
     """
     notion = normalize_notion(notion)
-    if not delta >= 0.0:
-        raise InputError("delta must be nonnegative")
+    check_delta(delta)
     _check_action(setting, action)
     rivals = np.arange(setting.n) != action
     outcomes, ratios = _ratio_columns(setting, action, rivals)
@@ -143,13 +143,16 @@ def payment_lp(ratios: np.ndarray, cost_gaps: np.ndarray, delta: float, notion: 
     <= c_k - c_a for the multiplicative notion, sum_S (r_{k,S} - 1) y_S
     <= c_k - c_a + delta for the additive one. A column of ratios 1 is the
     sure event: a base payment made on every outcome.
+
+    Takes ownership of `ratios`: they are shifted into the rows in place, so
+    the caller must not read them afterwards.
     """
     if notion == MULTIPLICATIVE:
-        rows = ratios - (1.0 + delta)
+        ratios -= 1.0 + delta
     else:
-        rows = ratios - 1.0
+        ratios -= 1.0
         cost_gaps = cost_gaps + delta
-    return solve_lp(np.ones(ratios.shape[1]), rows, cost_gaps)
+    return solve_lp(np.ones(ratios.shape[1]), ratios, cost_gaps)
 
 
 def _ratio_columns(setting: Setting, action: int, rivals: np.ndarray):

@@ -14,7 +14,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .errors import InputError
-from .model import ProductSetting, Separable, Sparse
+from .model import ProductSetting, Separable, Sparse, check_delta
 
 # ---------------------------------------------------------------------------
 # Gap family: single item, geometrically thinning success probabilities
@@ -200,8 +200,7 @@ class MinMaxGadget:
 
     def target_payment(self, delta: float) -> float:
         """Expected payment that delta-incentivizes the effort action iff YES."""
-        if delta < 0:
-            raise InputError("delta must be nonnegative")
+        check_delta(delta)
         return self.effort_cost / (self.margin * (1.0 + delta))
 
 

@@ -26,7 +26,9 @@ import numpy as np
 
 from .errors import InputError
 from .lpcore import OPTIMAL, solve_lp
-from .model import TOL_TIE, Setting, _item_marginals, expected_rewards, is_normalized, money_unit
+from .model import (
+    TOL_TIE, Setting, _item_marginals, check_delta, expected_rewards, is_normalized, money_unit
+)
 
 _BLOCK = 1 << 16  # entries per block of the rivals table, so memory stays linear in n
 
@@ -87,8 +89,7 @@ def optimal_linear(setting: Setting, delta: float = 0.0) -> Tuple[float, int, fl
     Takes each action's cheapest delta-IC share.  Payoff ties go to the
     higher-reward action, then to the lower index.
     """
-    if not delta >= 0.0:
-        raise InputError("delta must be nonnegative")
+    check_delta(delta)
     rewards = expected_rewards(setting)
     shares = _cheapest_delta_ic_alphas(rewards, setting.costs, delta)
     on = np.flatnonzero(~np.isnan(shares)).tolist()
@@ -144,8 +145,7 @@ def optimal_separable(
     higher-reward action.  Works for explicit settings through their item
     marginals.
     """
-    if not delta >= 0.0:
-        raise InputError("delta must be nonnegative")
+    check_delta(delta)
     rewards, costs = expected_rewards(setting), setting.costs
     marg = _item_marginals(setting)
     candidates = []
@@ -173,6 +173,7 @@ def approx_linear_delta(setting: Setting, delta: float, gamma: float) -> LinearA
     """
     if not (0.0 < gamma < 1.0):
         raise InputError(f"gamma must lie in (0, 1), got {gamma}")
+    check_delta(delta)
     if not (delta > 0.0):
         raise InputError("delta must be positive")
     if not is_normalized(setting):

@@ -57,7 +57,7 @@ TOL_VALID = 1e-9
 ADDITIVE = "additive"
 MULTIPLICATIVE = "multiplicative"
 
-_NOTION_ALIASES = {
+NOTION_ALIASES = {
     "additive": ADDITIVE,
     "add": ADDITIVE,
     "multiplicative": MULTIPLICATIVE,
@@ -67,9 +67,15 @@ _NOTION_ALIASES = {
 
 def normalize_notion(notion: str) -> str:
     try:
-        return _NOTION_ALIASES[notion.lower()]
+        return NOTION_ALIASES[notion.lower()]
     except (KeyError, AttributeError):
         raise InputError(f"unknown IC notion {notion!r}; use 'additive' or 'multiplicative'")
+
+
+def check_delta(delta: float) -> None:
+    """Raise InputError unless the IC slack delta is a finite number >= 0."""
+    if not (math.isfinite(delta) and delta >= 0.0):
+        raise InputError(f"delta must be a finite nonnegative number, got {delta}")
 
 
 # ---------------------------------------------------------------------------
@@ -389,8 +395,7 @@ def best_response(setting: Setting, contract: Contract, delta: float = 0.0) -> A
     With delta > 0, every action within delta of the max utility (additively
     delta-IC) counts as tied.
     """
-    if not delta >= 0.0:
-        raise InputError("delta must be nonnegative")
+    check_delta(delta)
     pays = expected_payments(setting, contract)
     tol = TOL_TIE * money_unit(setting)
     utils = pays - setting.costs
@@ -424,8 +429,7 @@ def ic_slack(
     A delta > 0 needs the notion named; at delta = 0 both read p_i - c_i - max.
     """
     notion = _ic_notion(notion, delta)
-    if not delta >= 0.0:
-        raise InputError("delta must be nonnegative")
+    check_delta(delta)
     _check_action(setting, action)
     pays = expected_payments(setting, contract)
     p_i = pays[action]
@@ -548,7 +552,7 @@ def outcome_to_items(outcome: int) -> list:
 
 
 def items_to_outcome(items: Iterable[int], m: Optional[int] = None) -> int:
-    """Bitmask of an item list; with `m` given, every index must be below it."""
+    """Bitmask of an item list naming each item once; with `m` given, every index must be below it."""
     mask = 0
     for j in items:
         j = int(j)
@@ -556,45 +560,35 @@ def items_to_outcome(items: Iterable[int], m: Optional[int] = None) -> int:
             raise InputError("item indices must be nonnegative")
         if m is not None and j >= m:  # checked before 1 << j; j may be huge, so not printed
             raise InputError(f"an item index lies outside the setting's {m} items")
+        if mask >> j & 1:
+            raise InputError(f"item {j} is listed twice in one outcome")
         mask |= 1 << j
     return mask
 
 
+_SETTING_KINDS = {"product": ProductSetting, "explicit": ExplicitSetting}
+
+
 def setting_to_dict(setting: Setting) -> dict:
-    if isinstance(setting, ProductSetting):
-        return {
-            "kind": "product",
-            "costs": setting.costs.tolist(),
-            "rewards": setting.rewards.tolist(),
-            "probs": setting.probs.tolist(),
-        }
-    return {
-        "kind": "explicit",
-        "costs": setting.costs.tolist(),
-        "outcome_rewards": setting.outcome_rewards.tolist(),
-        "dist": setting.dist.tolist(),
-    }
+    """A setting's JSON form: its kind, then each array field in field order."""
+    kind = next(kind for kind, cls in _SETTING_KINDS.items() if type(setting) is cls)
+    return {"kind": kind, **{f.name: getattr(setting, f.name).tolist() for f in fields(setting)}}
 
 
 def setting_from_dict(data: dict) -> Setting:
     if not isinstance(data, dict) or "kind" not in data:
         raise InputError("setting JSON must be an object with a 'kind' field")
     kind = data["kind"]
+    cls = _SETTING_KINDS.get(kind) if isinstance(kind, str) else None
+    if cls is None:
+        raise InputError(f"unknown setting kind {kind!r}")
     try:
-        if kind == "product":
-            setting = ProductSetting(
-                costs=data["costs"], rewards=data["rewards"], probs=data["probs"]
-            )
-            if abs(setting.costs[0]) > TOL_ZERO * money_unit(setting):
-                raise InputError("first action must have zero cost")
-            return setting
-        if kind == "explicit":
-            return ExplicitSetting(
-                costs=data["costs"], outcome_rewards=data["outcome_rewards"], dist=data["dist"]
-            )
+        setting = cls(**{f.name: data[f.name] for f in fields(cls)})
     except KeyError as exc:
         raise InputError(f"setting JSON missing field {exc}")
-    raise InputError(f"unknown setting kind {kind!r}")
+    if cls is ProductSetting and abs(setting.costs[0]) > TOL_ZERO * money_unit(setting):
+        raise InputError("first action must have zero cost")
+    return setting
 
 
 def contract_to_dict(contract: Contract) -> dict:
@@ -644,6 +638,8 @@ def contract_from_dict(data: dict, setting: Optional[Setting] = None) -> Contrac
             payments = {}
             for entry in data.get("payments", []):
                 outcome = items_to_outcome(entry["outcome"], items)
+                if outcome in payments:
+                    raise InputError(f"outcome {outcome_to_items(outcome)} is paid twice")
                 payments[outcome] = amount(entry["pay"], f"payment for outcome {outcome}")
             return Sparse(base=amount(data.get("base", 0.0), "base payment"), payments=payments)
         if kind == "linear":

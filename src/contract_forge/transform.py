@@ -24,6 +24,7 @@ from .model import (
     Setting,
     Sparse,
     best_response,
+    check_delta,
     is_normalized,
     money_unit,
     principal_payoff,
@@ -108,8 +109,7 @@ def delta_to_ir(setting: Setting, contract: Contract, delta: float) -> Contract:
     the principal's payoff cannot cover the lift, the all-zero contract is the
     better deal.
     """
-    if not delta >= 0.0:
-        raise InputError("delta must be nonnegative")
+    check_delta(delta)
     action, payoff = designated_action(setting, contract, delta)
     if payoff <= delta:
         return Sparse()

@@ -691,6 +691,77 @@ def test_non_numeric_contract_exits_2(tmp_path, capsys, contract):
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize(
+    "payments",
+    [[{"outcome": [0], "pay": 1.0}, {"outcome": [0], "pay": 2.0}], [{"outcome": [0, 0], "pay": 1.0}]],
+    ids=["repeated-outcome", "repeated-item"],
+)
+def test_sparse_contract_repeats_exit_2(tmp_path, capsys, payments):
+    # neither the last entry nor the union of the items is the one reading of a repeat
+    inst = tmp_path / "inst.json"
+    inst.write_text(_PRODUCT)
+    con = tmp_path / "con.json"
+    con.write_text(json.dumps({"kind": "sparse", "payments": payments}))
+    code, out, err = run(capsys, ["verify", "--instance", str(inst), "--contract", str(con), "--action", "0"])
+    assert code == 2 and out == "" and "twice" in err
+
+
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf", "-1"])
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["solve", "--instance", "INST", "--delta=X"],
+        ["solve", "--instance", "INST", "--delta=X", "--notion", "add"],
+        ["delta-solve", "--instance", "INST", "--delta=X"],
+        ["linear", "--instance", "INST", "--delta=X"],
+        ["linear", "--instance", "INST", "--delta=X", "--gamma", "0.1"],
+        ["linear", "--instance", "INST", "--delta=X", "--separable"],
+        ["linear", "--instance", "INST", "--delta", "0.05", "--gamma=X"],
+        ["transform", "--instance", "INST", "--contract", "CON", "--to", "ic", "--delta=X"],
+        ["transform", "--instance", "INST", "--contract", "CON", "--to", "ir", "--delta=X"],
+        ["verify", "--instance", "INST", "--contract", "CON", "--action", "0", "--delta=X", "--notion", "add"],
+        ["verify", "--instance", "INST", "--contract", "CON", "--action", "0", "--tol=X"],
+        ["oracle", "--instance", "SEP", "--eps=X"],
+        ["blackbox", "--instance", "INST", "--eps=X", "--gamma", "0.3"],
+        ["blackbox", "--instance", "INST", "--eps", "0.3", "--gamma=X"],
+        ["gen", "gap", "--c", "2", "--gamma=X"],
+        ["gen", "product2", "--cnf", "CNF", "--epsilon=X"],
+        ["gen", "productc", "--cnf", "CNF", "--c", "2", "--epsilon=X"],
+        ["gen", "a3", "--epsilon=X", "--delta", "0.25"],
+        ["gen", "a3", "--epsilon", "0.1", "--delta=X"],
+        ["gen", "f", "--delta=X"],
+    ],
+    ids=["solve-delta", "solve-add-delta", "delta-solve-delta", "linear-delta", "linear-gamma-delta",
+         "linear-separable-delta", "linear-gamma", "transform-ic-delta", "transform-ir-delta",
+         "verify-delta", "verify-tol", "oracle-eps", "blackbox-eps", "blackbox-gamma", "gen-gap-gamma",
+         "gen-product2-epsilon", "gen-productc-epsilon", "gen-a3-epsilon", "gen-a3-delta", "gen-f-delta"],
+)
+def test_float_flags_keep_exit_code_contract(tmp_path, capsys, argv, value):
+    # each value reaches the program (no argparse error); a bad delta is bad input, and
+    # whatever is printed is JSON without NaN or Infinity
+    files = {
+        "INST": _NORMALIZED,
+        "CON": '{"kind": "linear", "alpha": 0.3}',
+        "SEP": '{"kind": "separation", "weights": [1.0], "mixtures": [[0.2, 0.6]], "reference": [0.5, 0.5]}',
+        "CNF": DIMACS,
+    }
+    for name, text in files.items():
+        (tmp_path / name).write_text(text)
+    argv = [str(tmp_path / arg) if arg in files else arg.replace("=X", "=" + value) for arg in argv]
+    code, out, err = run(capsys, argv)
+    assert code in (0, 2, 3, 4) and "Traceback" not in err and "usage:" not in err
+    if code in (2, 4):
+        assert out == ""
+    if any(arg.startswith("--delta=") for arg in argv):
+        assert code == 2
+
+    def reject(name):
+        raise AssertionError(f"output holds {name}")
+
+    if out:
+        json.loads(out[2:].splitlines()[0] if out.startswith("# ") else out, parse_constant=reject)
+
+
 def test_verify_single_action_prints_valid_json(tmp_path, capsys):
     inst = tmp_path / "inst.json"
     inst.write_text('{"kind": "product", "costs": [0.0], "rewards": [1.0], "probs": [[0.5]]}')

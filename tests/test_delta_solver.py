@@ -12,6 +12,7 @@ from contract_forge.generators import gen_delta_advantage, gen_gap, gen_random
 from contract_forge.model import (
     MULTIPLICATIVE,
     ProductSetting,
+    Sparse,
     expected_payment,
     expected_reward,
     verify_delta_ic,
@@ -34,12 +35,15 @@ def test_gap_two_actions():
 
 
 def test_single_action_trivial():
+    # the loop's first LP has no rows: it pays nothing and the oracle is never asked
     setting = ProductSetting(costs=(0.0,), rewards=(1.0,), probs=((0.5,),))
-    res = min_payment_delta(setting, 0, delta=0.1)
-    assert res.expected_payment == 0.0
-    assert res.contract.payments == {}
     opt = opt_contract_delta(setting, delta=0.1)
     assert opt.payoff == pytest.approx(0.5)
+    assert opt.contract == Sparse()
+    for res in (min_payment_delta(setting, 0, delta=0.1), opt.per_action[0]):
+        assert res.contract == Sparse()
+        assert res.expected_payment == 0.0 and res.gamma_star == 0.0
+        assert [row.verdict for row in res.trace] == ["feasible"]
 
 
 def test_two_action_closed_form():

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -357,3 +358,19 @@ def test_read_contract_drops_payments_up_to_tol_zero(scale):
     contract = exact.read_contract(setting, 1, np.array([0, 1]), primal)
     assert list(contract.payments) == [1]
     assert contract.payments[1] == pytest.approx(0.4 * scale, rel=1e-15)
+
+
+def test_payment_lp_shifts_its_columns_in_place():
+    # payment_lp owns its ratio columns: the only copy it makes is solve_lp's tableau
+    rng = np.random.default_rng(0)
+    ratios = np.exp(rng.uniform(-1.0, 1.0, (15, 1 << 16)))
+    gaps = -rng.uniform(0.0, 1.0, 15)
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        sol = exact.payment_lp(ratios, gaps, 0.1, "multiplicative")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert sol.status == "optimal" and sol.iterations > 0
+    assert peak - before < 1.5 * ratios.nbytes

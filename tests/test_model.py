@@ -284,6 +284,18 @@ def test_setting_json_round_trip(two_action):
     assert back2 == explicit
 
 
+def test_setting_wire_text_is_kind_then_fields_in_order():
+    product = ProductSetting(costs=(0.0, 0.5), rewards=(1.0, 2.0), probs=((0.1, 0.2), (0.3, 0.4)))
+    assert m.dumps(product) == (
+        '{"kind": "product", "costs": [0.0, 0.5], "rewards": [1.0, 2.0], '
+        '"probs": [[0.1, 0.2], [0.3, 0.4]]}'
+    )
+    explicit = ExplicitSetting(costs=(0.0,), outcome_rewards=(0.0, 1.0), dist=((0.25, 0.75),))
+    assert m.dumps(explicit) == (
+        '{"kind": "explicit", "costs": [0.0], "outcome_rewards": [0.0, 1.0], "dist": [[0.25, 0.75]]}'
+    )
+
+
 def test_setting_json_requires_free_action():
     data = {"kind": "product", "costs": [0.5, 1.0], "rewards": [10.0], "probs": [[0.3], [0.6]]}
     with pytest.raises(InputError):
