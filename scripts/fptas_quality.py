@@ -3,8 +3,10 @@
 
 Prints one CSV row per instance: exact minimum ratio, bucketed ratio, their
 quotient (never above 1+eps), the largest representative family kept
-along the way next to its worst-case budget, and the bucketed call's wall
-time (millis) and tracemalloc peak (peak_kb, from a second, traced call).
+along the way next to its worst-case budget, the number of items at which
+two partials shared a bucket (merged_items: the family grew to less than
+twice its size), and the bucketed call's wall time (millis) and tracemalloc
+peak (peak_kb, from a second, traced call).
 Large m makes brute force the bottleneck; the bucketed route keeps going.
 
     PYTHONPATH=src python3 scripts/fptas_quality.py --n 2 --m 14 --count 5
@@ -45,7 +47,9 @@ def main():
 
     rng = np.random.default_rng(args.seed)
     writer = csv.writer(sys.stdout, lineterminator="\n")
-    writer.writerow(["trial", "exact", "bucketed", "quotient", "max_family", "budget", "millis", "peak_kb"])
+    writer.writerow(
+        ["trial", "exact", "bucketed", "quotient", "max_family", "budget", "merged_items", "millis", "peak_kb"]
+    )
     worst = 0.0
     for trial in range(args.count):
         inst = random_instance(rng, args.n, args.m)
@@ -57,6 +61,8 @@ def main():
         min_ratio_fptas_stats(inst, args.eps)
         peak_kb = tracemalloc.get_traced_memory()[1] / 1024.0
         tracemalloc.stop()
+        counts = stats.family_counts
+        merged = sum(kept < 2 * before for before, kept in zip((1,) + counts[:-1], counts))
         quotient = approx.ratio / exact if exact > 0 else 1.0
         worst = max(worst, quotient)
         writer.writerow(
@@ -65,8 +71,9 @@ def main():
                 repr(exact),
                 repr(approx.ratio),
                 "%.6f" % quotient,
-                max(stats.family_counts),
+                max(counts),
                 stats.family_budget,
+                merged,
                 "%.3f" % millis,
                 "%.1f" % peak_kb,
             ]

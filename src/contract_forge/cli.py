@@ -203,13 +203,17 @@ def cmd_linear(args) -> Output:
 def cmd_oracle(args) -> Output:
     inst = separation_from_dict(load_json(args.instance))
     res, stats = min_ratio_fptas_stats(inst, args.eps)
+    try:
+        budget = float(stats.family_budget)
+    except OverflowError:  # t^d can run to thousands of digits
+        budget = None
     result = {
         "method": "fptas",
         "eps": args.eps,
         "outcome": outcome_to_items(res.outcome),
         "ratio": res.ratio,
         "family_counts": list(stats.family_counts),
-        "family_budget": stats.family_budget,
+        "family_budget": budget,
     }
     return _envelope("oracle", {"eps": args.eps}, result)
 

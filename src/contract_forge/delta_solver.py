@@ -43,6 +43,7 @@ from .model import (
     Sparse,
     _check_action,
     check_delta,
+    check_resolves_at_one,
     expected_payment,
     outcome_probabilities,
 )
@@ -89,8 +90,7 @@ def min_payment_delta(setting: ProductSetting, action: int, delta: float) -> Del
     check_delta(delta)
     if not (delta > 0.0):
         raise InputError("delta must be positive; use exact.min_payment for delta=0")
-    if 1.0 + delta == 1.0:  # the oracle's eps = delta would round its buckets to 1
-        raise InputError(f"delta={delta} is finer than float64 resolves at 1")
+    check_resolves_at_one("delta", delta)  # the oracle's eps = delta would round its buckets to 1
 
     pool, trace, value, lam, primal = _generate_columns(setting, action, delta)
     outcomes = np.fromiter(pool, dtype=np.int64, count=len(pool))

@@ -13,7 +13,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .errors import InputError
+from .errors import CapacityError, InputError
 from .model import ProductSetting, Separable, Sparse, check_delta
 
 # ---------------------------------------------------------------------------
@@ -297,6 +297,8 @@ class SeparableGap:
 def gen_separable_gap(delta: float) -> SeparableGap:
     if not (0.0 < delta < 1.0):
         raise InputError(f"delta must lie in (0, 1), got {delta}")
+    if delta / 2.0 == 0.0:  # the first action's probability of item 0
+        raise InputError(f"delta={delta} is so small that delta/2 underflows float64")
     c2 = (1.0 - delta) * (1.0 / delta - 2.0 + delta)
     r1 = (1.0 - (1.0 - delta / 2.0) * delta) / (delta / 2.0)
     setting = ProductSetting(
@@ -344,6 +346,8 @@ def gen_random(n: int, m: int, seed: int) -> ProductSetting:
         raise InputError("need n >= 1 actions and m >= 1 items")
     if seed < 0:
         raise InputError(f"seed must be nonnegative, got {seed}")
+    if n * m > np.iinfo(np.intp).max // 8:  # past what numpy can address, it raises ValueError
+        raise CapacityError(f"a table of {n} x {m} float64 probabilities exceeds the address space")
     rng = np.random.default_rng(seed)
     probs = rng.uniform(size=(n, m))
     rewards = rng.uniform(size=m)

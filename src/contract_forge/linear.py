@@ -27,7 +27,8 @@ import numpy as np
 from .errors import InputError
 from .lpcore import OPTIMAL, solve_lp
 from .model import (
-    TOL_TIE, Setting, _item_marginals, check_delta, expected_rewards, is_normalized, money_unit
+    TOL_TIE, Setting, _item_marginals, check_delta, check_resolves_at_one, expected_rewards,
+    is_normalized, money_unit,
 )
 
 _BLOCK = 1 << 16  # entries per block of the rivals table, so memory stays linear in n
@@ -173,9 +174,12 @@ def approx_linear_delta(setting: Setting, delta: float, gamma: float) -> LinearA
     """
     if not (0.0 < gamma < 1.0):
         raise InputError(f"gamma must lie in (0, 1), got {gamma}")
+    if math.isinf(1.0 / gamma):  # kappa and the interval of each alpha take log(1/gamma)
+        raise InputError(f"gamma={gamma} is so small that 1/gamma overflows float64")
     check_delta(delta)
     if not (delta > 0.0):
         raise InputError("delta must be positive")
+    check_resolves_at_one("delta", delta)  # the intervals grow by the factor 1+delta
     if not is_normalized(setting):
         warnings.warn(
             "approximation guarantee assumes max expected reward <= 1", stacklevel=2

@@ -78,6 +78,12 @@ def check_delta(delta: float) -> None:
         raise InputError(f"delta must be a finite nonnegative number, got {delta}")
 
 
+def check_resolves_at_one(name: str, value: float) -> None:
+    """Raise InputError when 1 + value rounds to 1 in float64."""
+    if 1.0 + value == 1.0:
+        raise InputError(f"{name}={value} is finer than float64 resolves at 1")
+
+
 # ---------------------------------------------------------------------------
 # Settings
 # ---------------------------------------------------------------------------

@@ -35,6 +35,7 @@ from .model import (
     PARTIALS_CAP,
     ArrayFields,
     all_subset_probabilities,
+    check_resolves_at_one,
     read_only_array,
 )
 
@@ -84,8 +85,7 @@ class OracleResult:
 @dataclass(frozen=True)
 class FptasStats:
     family_counts: tuple  # representatives kept after each item
-    bucket_parts: int  # the t in the t^(#distributions) family budget
-    family_budget: int
+    family_budget: int  # t^(#distributions), from bucket_count_bound
 
 
 @dataclass(frozen=True)
@@ -254,22 +254,29 @@ def bucket_count_bound(inst: SeparationInstance, eps: float) -> Tuple[int, int]:
 def _check_eps(eps: float) -> None:
     if not (0.0 < eps <= 1.0):
         raise InputError(f"eps must lie in (0, 1], got {eps}")
-    if 1.0 + eps == 1.0:  # the bucket factor (1+eps)^(1/2m) would round to 1
-        raise InputError(f"eps={eps} is finer than float64 resolves at 1")
+    check_resolves_at_one("eps", eps)  # the bucket factor (1+eps)^(1/2m) would round to 1
 
 
 def min_ratio_fptas(inst: SeparationInstance, eps: float) -> OracleResult:
-    result, _ = min_ratio_fptas_stats(inst, eps)
-    return result
-
-
-def min_ratio_fptas_stats(inst: SeparationInstance, eps: float) -> Tuple[OracleResult, FptasStats]:
     """Bucketing dynamic program; returned ratio is within (1+eps) of optimal.
 
     Of the partials sharing a bucket under every distribution the one formed
     first is kept. More than model.MAX_ITEMS items, or more than
     model.PARTIALS_CAP partials kept after an item, raise CapacityError.
     """
+    result, _ = _bucketing_dp(inst, eps)
+    return result
+
+
+def min_ratio_fptas_stats(inst: SeparationInstance, eps: float) -> Tuple[OracleResult, FptasStats]:
+    """min_ratio_fptas with the family kept after each item and the family budget."""
+    result, counts = _bucketing_dp(inst, eps)
+    _, budget = bucket_count_bound(inst, eps)
+    return result, FptasStats(family_counts=counts, family_budget=budget)
+
+
+def _bucketing_dp(inst: SeparationInstance, eps: float) -> Tuple[OracleResult, tuple]:
+    """min_ratio_fptas's answer and the number of partials kept after each item."""
     _check_eps(eps)
     m = inst.m
     if m > MAX_ITEMS:
@@ -307,16 +314,19 @@ def min_ratio_fptas_stats(inst: SeparationInstance, eps: float) -> Tuple[OracleR
             np.take(row, order, out=ranked, mode="clip")  # "raise" would fill a buffer first
             changed[1:] |= ranked[1:] != ranked[:-1]
         del keys, row, ranked
-        first = np.sort(order[changed])
-        del order, changed
-        if len(first) > PARTIALS_CAP:
+        kept = int(np.count_nonzero(changed))
+        if kept > PARTIALS_CAP:
             raise CapacityError(
                 f"the separation oracle kept more than {PARTIALS_CAP} partials at item {j} of {m}"
             )
+        # when no bucket holds two partials, the firsts in the order formed are
+        # all of them, and the grown family is kept as it is, without a copy
+        first = np.sort(order[changed]) if kept < len(order) else slice(None)
+        del order, changed
         masks = np.concatenate([masks, masks | np.int64(1 << j)])[first]
         probs = grown[:, first]
         del grown
-        counts.append(len(first))
+        counts.append(kept)
 
     ref = probs[-1]
     valid = ref > 0.0
@@ -327,11 +337,7 @@ def min_ratio_fptas_stats(inst: SeparationInstance, eps: float) -> Tuple[OracleR
         ratios /= ref[valid]
     best_ratio = ratios.min()
     best_mask = int(masks[valid][ratios == best_ratio].min())
-    t, budget = bucket_count_bound(inst, eps)
-    return (
-        OracleResult(outcome=best_mask, ratio=float(best_ratio)),
-        FptasStats(family_counts=tuple(counts), bucket_parts=t, family_budget=budget),
-    )
+    return OracleResult(outcome=best_mask, ratio=float(best_ratio)), tuple(counts)
 
 
 def separation_from_dict(data: dict) -> SeparationInstance:

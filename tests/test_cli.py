@@ -11,6 +11,7 @@ import tempfile
 import warnings
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -331,6 +332,23 @@ def test_oracle_fptas(tmp_path, capsys):
     assert envelope["result"]["method"] == "fptas"
     # the exact minimum is 0.25, on the empty outcome
     assert envelope["result"]["ratio"] <= 0.25 * 1.5 + 1e-12
+    # q_min = 0.25 and m = 2 give t = ceil(2 * 4 * 2 / 0.5) + 2 = 34 parts per distribution
+    assert envelope["result"]["family_budget"] == 34.0**2
+
+
+def test_oracle_family_budget_past_float64_is_null(tmp_path, capsys):
+    # t^d with t in the thousands and 1,101 distributions has over 4,300 digits,
+    # more than float64 holds and more than Python turns into a JSON integer
+    rng = np.random.default_rng(0)
+    probs = rng.uniform(0.01, 0.99, (1101, 10))
+    sep = tmp_path / "sep.json"
+    sep.write_text(json.dumps({"kind": "separation", "weights": [1 / 1100] * 1100,
+                               "mixtures": probs[:-1].tolist(), "reference": probs[-1].tolist()}))
+    code, out, err = run(capsys, ["oracle", "--instance", str(sep)])
+    assert code == 0, err
+    result = result_of(out)
+    assert result["family_budget"] is None
+    assert len(result["family_counts"]) == 10
 
 
 @pytest.mark.parametrize("argv", [["bench", "--instances"], ["oracle", "--brute", "--instance"]],
@@ -485,15 +503,27 @@ _NORMALIZED = dumps(gen_random(2, 3, 0))
         ["blackbox", "--instance", "INST", "--eps", "0.2", "--gamma", "0.1", "--seed", "-1"],
         ["blackbox", "--instance", "INST", "--eps", "0.2", "--gamma", "0.1", "--trials", "0"],
         ["blackbox", "--instance", "INST", "--eps", "0.2", "--gamma", "0.1", "--trials", "-3"],
+        ["linear", "--instance", "INST", "--delta", "0.1", "--gamma", "5e-324"],
+        ["gen", "f", "--delta", "5e-324"],
     ],
     ids=["gap-overflow", "random-negative-seed", "minmax-overflow", "minmax-one-odds-overflow",
-         "blackbox-negative-seed", "blackbox-no-trials", "blackbox-negative-trials"],
+         "blackbox-negative-seed", "blackbox-no-trials", "blackbox-negative-trials",
+         "linear-gamma-reciprocal-overflow", "f-half-delta-underflow"],
 )
 def test_parameter_out_of_range_exits_2(tmp_path, capsys, argv):
     inst = tmp_path / "inst.json"
     inst.write_text(_NORMALIZED)
     code, out, err = run(capsys, [str(inst) if arg == "INST" else arg for arg in argv])
     assert code == 2 and out == "" and "Traceback" not in err
+    if "--gamma" in argv and argv[0] == "linear":
+        assert "gamma=" in err
+
+
+def test_table_past_the_address_space_exits_4(capsys):
+    # numpy cannot index 10^20 rows; the generator says so before it asks
+    code, out, err = run(capsys, ["gen", "random", "--n", "99999999999999999999", "--m", "3"])
+    assert code == 4 and out == "" and "resource limit" in err
+    assert "Traceback" not in err
 
 
 def test_delta_solve_reads_probabilities_within_validation_slack(tmp_path, capsys):
@@ -624,8 +654,9 @@ _PRODUCT = '{"kind": "product", "costs": [0.0, 0.1], "rewards": [1.0], "probs": 
         (["oracle", "--eps", "5e-324"], _separation_json([[0.5, 0.25], [0.5, 0.3]])),
         (["oracle", "--eps", "1e-17"], _separation_json([[0.5, 0.25], [0.5, 0.3]])),
         (["delta-solve", "--delta", "1e-17"], json.loads(_PRODUCT)),
+        (["linear", "--delta", "1e-17", "--gamma", "0.5"], json.loads(_PRODUCT)),
     ],
-    ids=["oracle-5e-324", "oracle-1e-17", "delta-solve-1e-17"],
+    ids=["oracle-5e-324", "oracle-1e-17", "delta-solve-1e-17", "linear-gamma-1e-17"],
 )
 def test_eps_below_float_resolution_exits_2(tmp_path, capsys, argv, instance):
     inst = tmp_path / "inst.json"
@@ -706,7 +737,10 @@ def test_sparse_contract_repeats_exit_2(tmp_path, capsys, payments):
     assert code == 2 and out == "" and "twice" in err
 
 
-@pytest.mark.parametrize("value", ["nan", "inf", "-inf", "-1"])
+_INVALID = ["nan", "inf", "-inf", "-1"]
+
+
+@pytest.mark.parametrize("value", _INVALID + ["5e-324", "1e-17"])
 @pytest.mark.parametrize(
     "argv",
     [
@@ -737,7 +771,7 @@ def test_sparse_contract_repeats_exit_2(tmp_path, capsys, payments):
          "gen-product2-epsilon", "gen-productc-epsilon", "gen-a3-epsilon", "gen-a3-delta", "gen-f-delta"],
 )
 def test_float_flags_keep_exit_code_contract(tmp_path, capsys, argv, value):
-    # each value reaches the program (no argparse error); a bad delta is bad input, and
+    # each value reaches the program (no argparse error); an invalid delta is bad input, and
     # whatever is printed is JSON without NaN or Infinity
     files = {
         "INST": _NORMALIZED,
@@ -752,7 +786,7 @@ def test_float_flags_keep_exit_code_contract(tmp_path, capsys, argv, value):
     assert code in (0, 2, 3, 4) and "Traceback" not in err and "usage:" not in err
     if code in (2, 4):
         assert out == ""
-    if any(arg.startswith("--delta=") for arg in argv):
+    if value in _INVALID and any(arg.startswith("--delta=") for arg in argv):
         assert code == 2
 
     def reject(name):

@@ -143,6 +143,22 @@ def test_fptas_prunes_identical_items():
     assert approx.ratio <= 2.0 * exact.ratio + 1e-12
 
 
+def test_fptas_without_merges_is_bruteforce():
+    # when no bucket holds two partials the DP keeps all 2^m subsets as grown:
+    # it multiplies item by item and prices with _weighted_sum, as brute force
+    # does, so both give the same outcome and the same ratio bits
+    rng = np.random.default_rng(23)
+    checked = 0
+    for trial in range(150):
+        inst = _random_instance(rng, int(rng.integers(2, 6)), int(rng.integers(1, 13)), 0.01, 0.99)
+        for eps in (0.01, 0.1, 1.0):
+            result, stats = min_ratio_fptas_stats(inst, eps)
+            if stats.family_counts == tuple(2 ** (j + 1) for j in range(inst.m)):
+                assert result == min_ratio_bruteforce(inst), f"trial {trial}"
+                checked += 1
+    assert checked > 100
+
+
 def test_bucket_count_bound_formula():
     inst = SeparationInstance(weights=(1.0,), mixtures=((0.25, 0.5),), reference=(0.5, 0.5))
     t, budget = bucket_count_bound(inst, eps=0.1)

@@ -17,7 +17,7 @@ SCRIPTS = [
     (["gap_ratio_sweep.py", "--c", "2", "--gamma", "0.2"],
      "c,gamma,ic_payoff,first_best,ic_ratio,delta,relaxed_payoff,relaxed_ratio"),
     (["fptas_quality.py", "--count", "2", "--m", "6"],
-     "trial,exact,bucketed,quotient,max_family,budget,millis,peak_kb"),
+     "trial,exact,bucketed,quotient,max_family,budget,merged_items,millis,peak_kb"),
     (["front_scale.py", "--sizes", "3x6", "--seeds", "0"],
      "n,m,seed,action,front_points,ordered_items,front_ms,front_peak_kb,lp_pivots,lp_ms"),
     (["bench_answers.py", "--workload", "relaxed", "--seeds", "1", "2"],
