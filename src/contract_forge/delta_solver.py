@@ -35,7 +35,7 @@ from typing import Optional, Tuple
 import numpy as np
 
 from .errors import InputError, ResourceError
-from .exact import OptContractResult, best_action, check_ic, payment_lp, read_contract
+from .exact import OptContractResult, best_action, payment_lp, read_contract
 from .lpcore import OPTIMAL
 from .model import (
     MULTIPLICATIVE,
@@ -82,7 +82,7 @@ def min_payment_delta(setting: ProductSetting, action: int, delta: float) -> Del
     The expected payment is gamma_star / (1+delta), and gamma_star is at most
     the exact (delta=0) minimum whenever that minimum is finite.  Payments
     come out in the setting's own unit of money: lpcore scales the LPs, and
-    exact.check_ic checks the contract as exact.min_payment does.
+    exact.read_contract checks the contract as it does for exact.min_payment.
     """
     if not isinstance(setting, ProductSetting):
         raise InputError("min_payment_delta needs a product setting")
@@ -94,8 +94,7 @@ def min_payment_delta(setting: ProductSetting, action: int, delta: float) -> Del
 
     pool, trace, value, lam, primal = _generate_columns(setting, action, delta)
     outcomes = np.fromiter(pool, dtype=np.int64, count=len(pool))
-    contract = read_contract(setting, action, outcomes, primal[1:], base=primal[0])
-    check_ic(setting, contract, action, delta, MULTIPLICATIVE)
+    contract = read_contract(setting, action, outcomes, primal[1:], delta, MULTIPLICATIVE, primal[0])
     return DeltaSolveResult(
         action=action,
         contract=contract,

@@ -9,11 +9,11 @@ uses each of its outcomes with q_{a,S} > 0. A product setting whose front
 passes model.FRONT_CAP is enumerated instead if it has at most
 model.M_MAX_ENUMERATE items. delta_solver solves the same LP (payment_lp)
 over the outcome columns its separation oracle prices in, and both read
-their contract off the LP's primal with read_contract.
+their contract off the LP's primal with read_contract, which checks it
+against its own IC condition.
 
 The LP is written in the setting's own unit of money; lpcore.solve_lp scales
-it. Both solvers check their contract against its own IC condition with
-check_ic. Picking the winning action counts payoffs within model.TOL_TIE money
+it. Picking the winning action counts payoffs within model.TOL_TIE money
 units (model.money_unit) of the best as tied.
 """
 
@@ -96,8 +96,7 @@ def min_payment(
         return MinPaymentResult(
             action=action, expected_payment=math.inf, contract=None, status=NOT_IMPLEMENTABLE
         )
-    contract = read_contract(setting, action, outcomes, sol.primal)
-    check_ic(setting, contract, action, delta, notion)
+    contract = read_contract(setting, action, outcomes, sol.primal, delta, notion)
     return MinPaymentResult(
         action=action,
         expected_payment=float(sol.objective_value),
@@ -107,32 +106,34 @@ def min_payment(
 
 
 def read_contract(
-    setting: Setting, action: int, outcomes: np.ndarray, primal: np.ndarray, base: float = 0.0
+    setting: Setting,
+    action: int,
+    outcomes: np.ndarray,
+    primal: np.ndarray,
+    delta: float,
+    notion: str,
+    base: float = 0.0,
 ) -> Sparse:
-    """The contract a payment-LP primal describes: y_S / q_{a,S} on each paid outcome, plus base.
+    """The contract a payment-LP primal describes, checked against `action`'s (delta-)IC condition.
 
-    primal[k] is the expected payment y_S on outcome S = outcomes[k]. Payments
-    of at most model.TOL_ZERO money units (model.money_unit) are dropped.
+    primal[k] is the expected payment y_S on outcome S = outcomes[k], paid as
+    y_S / q_{a,S} on top of base; a y_S of at most model.TOL_ZERO times the
+    LP's expected payment (the paid y_S plus base) is dropped. Missing IC by
+    more than model.TOL_IC money units (model.money_unit) raises ResourceError.
     """
     paid = np.flatnonzero(primal > 0.0)
+    y = primal[paid]
     q_paid = outcome_probabilities(setting, outcomes[paid])[action]
     with np.errstate(divide="ignore", over="ignore"):
-        pay = primal[paid] / q_paid
+        pay = y / q_paid
     if not (np.isfinite(pay) & (pay > 0.0)).all():
         raise CapacityError(f"a payment for action {action} falls outside float64's range")
-    kept = pay > TOL_ZERO * money_unit(setting)
-    return Sparse(base=base, payments=dict(zip(outcomes[paid][kept].tolist(), pay[kept].tolist())))
-
-
-def check_ic(setting: Setting, contract: Sparse, action: int, delta: float, notion: str) -> None:
-    """Raise ResourceError if `contract` misses `action`'s (delta-)IC condition.
-
-    Both solvers check the contract they read off their LP, so a slack below
-    -model.TOL_IC money units (model.money_unit) never reaches the caller.
-    """
+    kept = y > TOL_ZERO * (y.sum() + base)
+    contract = Sparse(base=base, payments=dict(zip(outcomes[paid][kept].tolist(), pay[kept].tolist())))
     slack = ic_slack(setting, contract, action, delta, notion)
     if slack < -TOL_IC * money_unit(setting):
         raise ResourceError(f"the LP's contract for action {action} misses IC by {-slack:.3g}")
+    return contract
 
 
 def payment_lp(ratios: np.ndarray, cost_gaps: np.ndarray, delta: float, notion: str) -> LPSolution:

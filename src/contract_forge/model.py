@@ -16,17 +16,17 @@ Outcomes are item subsets encoded as int bitmasks (item j <-> bit 1 << j). On
 an ExplicitSetting, bitmask b addresses column b of the distribution matrix,
 which matches the bit-set column order emitted by product_to_explicit.
 
-Every money comparison in the package (ties, IC checks, validation slack,
-payments counted as zero) is a TOL_* constant times money_unit(setting), the
-largest |expected reward|, and lpcore.solve_lp scales its own LPs, so answers
-do not depend on the unit of money. The agent picks the action maximizing
-expected payment minus cost, breaking near-ties (within TOL_TIE) in favor of
-the principal's payoff and then the lowest action index. A contract together
-with a designated action is delta-IC under the additive notion if no deviation
-gains more than delta in utility, and under the multiplicative notion if
-boosting the designated action's expected payment by (1 + delta) makes it a
-best response. Additive comparisons are only calibrated for normalized
-settings (max expected reward <= 1).
+Every money comparison in the package (ties, IC checks, validation slack, a
+free action's zero cost) is a TOL_* constant times money_unit(setting), the
+largest |expected reward|, or times an LP's own payment, and lpcore.solve_lp
+scales its LPs, so answers do not depend on the unit of money. The agent picks
+the action maximizing expected payment minus cost, breaking near-ties (within
+TOL_TIE) in favor of the principal's payoff and then the lowest action index. A
+contract together with a designated action is delta-IC under the additive
+notion if no deviation gains more than delta in utility, and under the
+multiplicative notion if boosting the designated action's expected payment by
+(1 + delta) makes it a best response. Additive comparisons are only calibrated
+for normalized settings (max expected reward <= 1).
 """
 
 from __future__ import annotations
@@ -44,10 +44,11 @@ import numpy as np
 from .errors import CapacityError, InputError
 
 # Money tolerances, in units of money_unit(setting): near-ties in utility and
-# payoff; default IC slack; the welfare floor; payments and free-action costs
-# counted as zero. TOL_VALID is the slack for probabilities and row sums
-# (a setting stores its probabilities clipped into range once they pass), and
-# in money units for the signs of costs, rewards and contract payments.
+# payoff; default IC slack; the welfare floor; a free action's cost counted as
+# zero (exact.read_contract drops payments up to TOL_ZERO of its LP's own).
+# TOL_VALID is the slack for probabilities and row sums (a setting stores its
+# probabilities clipped into range once they pass), and in money units for
+# the signs of costs, rewards and contract payments.
 TOL_TIE = 1e-9
 TOL_IC = 1e-9
 TOL_WELFARE = 1e-7
@@ -89,8 +90,8 @@ def check_resolves_at_one(name: str, value: float) -> None:
 # ---------------------------------------------------------------------------
 
 
-def read_only_array(values, ndim: int, name: str) -> np.ndarray:
-    """A read-only float64 copy of `values` with `ndim` dimensions and finite entries."""
+def float_array(values, ndim: int, name: str) -> np.ndarray:
+    """A float64 copy of `values` with `ndim` dimensions and finite entries."""
     try:
         arr = np.array(values, dtype=float)
     except (TypeError, ValueError, OverflowError):
@@ -99,12 +100,23 @@ def read_only_array(values, ndim: int, name: str) -> np.ndarray:
         raise InputError(f"{name} must be a {ndim}-dimensional array of numbers")
     if not np.isfinite(arr).all():
         raise InputError(f"{name} holds a non-finite value")
-    arr.flags.writeable = False
     return arr
 
 
 class ArrayFields:
-    """Value equality for dataclasses whose fields are arrays; unhashable."""
+    """Dataclasses whose fields are read-only float64 arrays, compared by value; unhashable.
+
+    Each field's float_array copy, of the field's metadata["ndim"] dimensions, goes
+    in field order to the class's _check, which may rewrite it before it is frozen.
+    """
+
+    def __post_init__(self):
+        arrays = [float_array(getattr(self, f.name), f.metadata["ndim"], f.name) for f in fields(self)]
+        for f, arr in zip(fields(self), arrays):
+            object.__setattr__(self, f.name, arr)
+        self._check(*arrays)
+        for arr in arrays:
+            arr.flags.writeable = False
 
     def __eq__(self, other):
         if type(other) is not type(self):
@@ -118,17 +130,11 @@ class ArrayFields:
 class ProductSetting(ArrayFields):
     """Succinct setting: costs per action, rewards per item, probs[i][j]."""
 
-    costs: np.ndarray
-    rewards: np.ndarray
-    probs: np.ndarray  # n-by-m item probabilities
+    costs: np.ndarray = field(metadata={"ndim": 1})
+    rewards: np.ndarray = field(metadata={"ndim": 1})
+    probs: np.ndarray = field(metadata={"ndim": 2})  # n-by-m item probabilities
 
-    def __post_init__(self):
-        costs = read_only_array(self.costs, 1, "costs")
-        rewards = read_only_array(self.rewards, 1, "rewards")
-        probs = read_only_array(self.probs, 2, "probs")
-        object.__setattr__(self, "costs", costs)
-        object.__setattr__(self, "rewards", rewards)
-        object.__setattr__(self, "probs", probs)
+    def _check(self, costs, rewards, probs):
         if costs.size < 1 or rewards.size < 1:
             raise InputError("need at least one action and one item")
         if probs.shape != (costs.size, rewards.size):
@@ -146,7 +152,7 @@ class ProductSetting(ArrayFields):
         if losing.size:
             i = losing[0]
             raise InputError(f"action {i} has negative expected welfare {welfare[i]}")
-        object.__setattr__(self, "probs", read_only_array(np.clip(probs, 0.0, 1.0), 2, "probs"))
+        np.clip(probs, 0.0, 1.0, out=probs)
 
     @property
     def n(self) -> int:
@@ -161,17 +167,11 @@ class ProductSetting(ArrayFields):
 class ExplicitSetting(ArrayFields):
     """Enumerated setting: costs, reward per outcome column, n-by-K dist."""
 
-    costs: np.ndarray
-    outcome_rewards: np.ndarray
-    dist: np.ndarray  # n-by-K outcome probabilities
+    costs: np.ndarray = field(metadata={"ndim": 1})
+    outcome_rewards: np.ndarray = field(metadata={"ndim": 1})
+    dist: np.ndarray = field(metadata={"ndim": 2})  # n-by-K outcome probabilities
 
-    def __post_init__(self):
-        costs = read_only_array(self.costs, 1, "costs")
-        rewards = read_only_array(self.outcome_rewards, 1, "outcome_rewards")
-        dist = read_only_array(self.dist, 2, "dist")
-        object.__setattr__(self, "costs", costs)
-        object.__setattr__(self, "outcome_rewards", rewards)
-        object.__setattr__(self, "dist", dist)
+    def _check(self, costs, rewards, dist):
         if costs.size < 1:
             raise InputError("need at least one action")
         if rewards.size < 1:
@@ -185,7 +185,7 @@ class ExplicitSetting(ArrayFields):
         off = np.flatnonzero(np.abs(sums - 1.0) > TOL_VALID)
         if off.size:
             raise InputError(f"dist row {off[0]} sums to {sums[off[0]]}, expected 1")
-        object.__setattr__(self, "dist", read_only_array(np.clip(dist, 0.0, None), 2, "dist"))
+        np.clip(dist, 0.0, None, out=dist)
 
     @property
     def n(self) -> int:
@@ -581,18 +581,23 @@ def setting_to_dict(setting: Setting) -> dict:
     return {"kind": kind, **{f.name: getattr(setting, f.name).tolist() for f in fields(setting)}}
 
 
-def setting_from_dict(data: dict) -> Setting:
+def record_from_dict(data: dict, kinds: dict, what: str):
+    """kinds[data["kind"]] built from the JSON object's fields; InputError if it is malformed."""
     if not isinstance(data, dict) or "kind" not in data:
-        raise InputError("setting JSON must be an object with a 'kind' field")
+        raise InputError(f"{what} JSON must be an object with a 'kind' field")
     kind = data["kind"]
-    cls = _SETTING_KINDS.get(kind) if isinstance(kind, str) else None
+    cls = kinds.get(kind) if isinstance(kind, str) else None
     if cls is None:
-        raise InputError(f"unknown setting kind {kind!r}")
+        raise InputError(f"unknown {what} kind {kind!r}")
     try:
-        setting = cls(**{f.name: data[f.name] for f in fields(cls)})
+        return cls(**{f.name: data[f.name] for f in fields(cls)})
     except KeyError as exc:
-        raise InputError(f"setting JSON missing field {exc}")
-    if cls is ProductSetting and abs(setting.costs[0]) > TOL_ZERO * money_unit(setting):
+        raise InputError(f"{what} JSON missing field {exc}")
+
+
+def setting_from_dict(data: dict) -> Setting:
+    setting = record_from_dict(data, _SETTING_KINDS, "setting")
+    if isinstance(setting, ProductSetting) and abs(setting.costs[0]) > TOL_ZERO * money_unit(setting):
         raise InputError("first action must have zero cost")
     return setting
 

@@ -22,7 +22,7 @@ its int64 outcome bitmasks; past either it raises CapacityError.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import List, Tuple
 
 import numpy as np
@@ -36,23 +36,20 @@ from .model import (
     ArrayFields,
     all_subset_probabilities,
     check_resolves_at_one,
-    read_only_array,
+    float_array,
+    record_from_dict,
 )
 
 
 @dataclass(frozen=True, eq=False)
 class SeparationInstance(ArrayFields):
-    weights: np.ndarray  # one nonnegative weight per mixture, summing to 1
-    mixtures: np.ndarray  # rows of per-item probabilities
-    reference: np.ndarray  # per-item probabilities of the reference action
+    """A separation problem; `rows` (not a field) stacks the mixtures and then the reference."""
 
-    def __post_init__(self):
-        weights = read_only_array(self.weights, 1, "weights")
-        mixtures = read_only_array(self.mixtures, 2, "mixtures")
-        reference = read_only_array(self.reference, 1, "reference")
-        object.__setattr__(self, "weights", weights)
-        object.__setattr__(self, "mixtures", mixtures)
-        object.__setattr__(self, "reference", reference)
+    weights: np.ndarray = field(metadata={"ndim": 1})  # one per mixture, nonnegative, sum 1
+    mixtures: np.ndarray = field(metadata={"ndim": 2})  # rows of per-item probabilities
+    reference: np.ndarray = field(metadata={"ndim": 1})  # the reference action's item probabilities
+
+    def _check(self, weights, mixtures, reference):
         if not weights.size or len(weights) != len(mixtures):
             raise InputError("need one weight per mixture distribution")
         if (weights < -1e-12).any():
@@ -66,6 +63,8 @@ class SeparationInstance(ArrayFields):
         outside = rows[(rows < 0.0) | (rows > 1.0)]
         if outside.size:
             raise InputError(f"probability {outside[0]} outside [0, 1]")
+        rows.flags.writeable = False
+        object.__setattr__(self, "rows", rows)
 
     @property
     def m(self) -> int:
@@ -121,8 +120,8 @@ def ratio_front(mixtures, reference) -> RatioFront:
     twins to one vector (the filter keeps the twin without the item); such
     items run the filter, so the result is the same bits either way.
     """
-    mixtures = read_only_array(mixtures, 2, "mixtures")
-    reference = read_only_array(reference, 1, "reference")
+    mixtures = float_array(mixtures, 2, "mixtures")
+    reference = float_array(reference, 1, "reference")
     if mixtures.shape[1] != reference.size:
         raise InputError("mixtures and reference must share the item count")
     mix, ref = np.clip(mixtures, 0.0, 1.0), np.clip(reference, 0.0, 1.0)
@@ -184,7 +183,8 @@ def _dominated(points: np.ndarray) -> np.ndarray:
     dropped point's dominators are dominated by a kept one, so each block of
     points is compared only with the kept points before it and with itself.
     """
-    order = np.lexsort((np.arange(len(points)),) + tuple(points.T[::-1]))
+    # a stable sort; lexsort needs a key, and with no columns all points tie
+    order = np.lexsort(points.T[::-1]) if points.shape[1] else np.arange(len(points))
     pts = points[order]
     lost = np.zeros(len(pts), dtype=bool)
     step = max(1, _BLOCK // len(pts))
@@ -211,7 +211,7 @@ def min_ratio_bruteforce(inst: SeparationInstance) -> OracleResult:
         raise CapacityError(
             f"m={inst.m} items would enumerate 2^{inst.m} outcomes (cap {M_MAX_ENUMERATE})"
         )
-    probs = all_subset_probabilities(np.vstack([inst.mixtures, inst.reference]))
+    probs = all_subset_probabilities(inst.rows)
     ref = probs[-1]
     num = _weighted_sum(inst.weights, probs[:-1])
     valid = ref > 0.0
@@ -242,8 +242,8 @@ def bucket_count_bound(inst: SeparationInstance, eps: float) -> Tuple[int, int]:
     absorb the anchor at 1 and the zero sentinel.
     """
     _check_eps(eps)
-    rows = np.vstack([inst.mixtures, inst.reference])
-    factors = np.concatenate([rows.ravel(), 1.0 - rows.ravel()])
+    rows = inst.rows.ravel()
+    factors = np.concatenate([rows, 1.0 - rows])
     nz = factors[factors > 0.0]
     q_min = float(nz.min()) if nz.size else 1.0
     m = inst.m
@@ -281,15 +281,14 @@ def _bucketing_dp(inst: SeparationInstance, eps: float) -> Tuple[OracleResult, t
     m = inst.m
     if m > MAX_ITEMS:
         raise CapacityError(f"{m} items do not fit a 64-bit outcome bitmask")
-    rows = np.vstack([inst.mixtures, inst.reference])
-    d = rows.shape[0]
+    d = len(inst.rows)
     log_bucket = math.log((1.0 + eps)) / (2.0 * m)  # ln of the bucket factor
 
     masks = np.zeros(1, dtype=np.int64)
     probs = np.ones((d, 1))  # one column per partial
     counts: List[int] = []
     for j in range(m):
-        q = rows[:, j : j + 1]
+        q = inst.rows[:, j : j + 1]
         k = len(masks)
         # partials without item j, then with it; each temporary is freed before
         # the next is made, so about three copies of the grown family are live
@@ -341,11 +340,4 @@ def _bucketing_dp(inst: SeparationInstance, eps: float) -> Tuple[OracleResult, t
 
 
 def separation_from_dict(data: dict) -> SeparationInstance:
-    if not isinstance(data, dict) or data.get("kind") != "separation":
-        raise InputError("separation JSON must be an object with kind 'separation'")
-    try:
-        return SeparationInstance(
-            weights=data["weights"], mixtures=data["mixtures"], reference=data["reference"]
-        )
-    except KeyError as exc:
-        raise InputError(f"separation JSON missing field {exc}")
+    return record_from_dict(data, {"separation": SeparationInstance}, "separation")

@@ -13,7 +13,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from contract_forge import cli
@@ -953,3 +953,41 @@ def test_fuzzed_separation_keeps_exit_code_contract(data):
         with open(inst, "w") as fh:
             fh.write(json.dumps(instance))
         _assert_exit_code_contract(["oracle", "--instance", inst, "--eps", "0.1"])
+
+
+def _main(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = cli.main(argv)
+    return code, out.getvalue(), err.getvalue()
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    n=st.integers(2, 4),
+    m=st.integers(3, 8),
+    seed=st.integers(0, 50),
+    delta=st.sampled_from(["0", "1e-6", "0.1", "10", "1e6", "1e12", "1e50", "1e300"]),
+)
+@example(n=4, m=5, seed=1, delta="1e12")
+def test_every_delta_gives_a_contract_verify_accepts(n, m, seed, delta):
+    # the multiplicative LP pays about c_a / (1 + delta), so a read-off that
+    # dropped payments below a fixed number of money units returned, from
+    # delta = 1e12 on, an empty contract that missed IC
+    runs = [("solve", "add"), ("solve", "mult")]
+    if float(delta) > 0.0:
+        runs.append(("delta-solve", "mult"))
+    with tempfile.TemporaryDirectory() as tmp:
+        inst, con = os.path.join(tmp, "inst.json"), os.path.join(tmp, "con.json")
+        with open(inst, "w") as fh:
+            fh.write(dumps(gen_random(n, m, seed)))
+        for command, notion in runs:
+            argv = [command, "--instance", inst, "--delta", delta, "--contract-out", con]
+            if command == "solve":
+                argv += ["--notion", notion]
+            code, out, err = _main(argv)
+            assert code == 0, (argv, err)
+            action = str(result_of(out)["action"])
+            verify = ["verify", "--instance", inst, "--contract", con, "--action", action]
+            code, _, err = _main(verify + ["--delta", delta, "--notion", notion])
+            assert code == 0, (argv, err)

@@ -317,7 +317,9 @@ def test_contract_that_misses_ic_raises(monkeypatch, tmp_path, capsys):
     read_contract = exact.read_contract
     monkeypatch.setattr(
         exact, "read_contract",
-        lambda setting, action, outcomes, primal: read_contract(setting, action, outcomes, primal / 2),
+        lambda setting, action, outcomes, primal, delta, notion: read_contract(
+            setting, action, outcomes, primal / 2, delta, notion
+        ),
     )
     setting = g.gen_gap(2, 0.1)
     with pytest.raises(ResourceError):
@@ -335,8 +337,8 @@ def test_delta_contract_that_misses_ic_raises(monkeypatch, tmp_path, capsys):
     read_contract = exact.read_contract
     monkeypatch.setattr(
         delta_solver, "read_contract",
-        lambda setting, action, outcomes, primal, base: read_contract(
-            setting, action, outcomes, primal / 2, base=base / 2
+        lambda setting, action, outcomes, primal, delta, notion, base: read_contract(
+            setting, action, outcomes, primal / 2, delta, notion, base=base / 2
         ),
     )
     setting = g.gen_gap(2, 0.1)
@@ -352,10 +354,11 @@ def test_delta_contract_that_misses_ic_raises(monkeypatch, tmp_path, capsys):
 
 @pytest.mark.parametrize("scale", [1.0, 1e9])
 def test_read_contract_drops_payments_up_to_tol_zero(scale):
-    # TOL_ZERO is in money units: 5e-13 of them is dropped at either scale
+    # TOL_ZERO is a share of the LP's own expected payment: y = 1e-13 is at
+    # most 1e-12 of the 0.32 paid, so it is dropped at either scale
     setting = rescaled(ProductSetting(costs=(0.0, 0.1), rewards=(1.0,), probs=((0.2,), (0.8,))), scale)
     primal = np.array([1e-13, 0.32]) * scale  # y_S = q_{1,S} x_S: x = 5e-13 and 0.4 units
-    contract = exact.read_contract(setting, 1, np.array([0, 1]), primal)
+    contract = exact.read_contract(setting, 1, np.array([0, 1]), primal, 0.0, "add")
     assert list(contract.payments) == [1]
     assert contract.payments[1] == pytest.approx(0.4 * scale, rel=1e-15)
 

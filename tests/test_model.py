@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 import tracemalloc
@@ -395,6 +396,52 @@ def test_vector_evaluation_matches_loops():
             m.outcome_probabilities(setting, bad)
         with pytest.raises(InputError):
             m.outcome_probabilities(explicit, bad)
+
+
+# each array record's fields, with a probability TOL_VALID outside its bound
+# where the record clips, and the fields it stores
+_ARRAY_RECORDS = [
+    (
+        ProductSetting,
+        {"costs": [0.0, 0.2], "rewards": [1.0, 0.5], "probs": [[0.2, -1e-10], [0.7, 1.0000000001]]},
+        {"probs": [[0.2, 0.0], [0.7, 1.0]]},
+    ),
+    (
+        ExplicitSetting,
+        {"costs": [0.0], "outcome_rewards": [0.0, 1.0], "dist": [[1.0 + 1e-10, -1e-10]]},
+        {"dist": [[1.0 + 1e-10, 0.0]]},
+    ),
+    (
+        SeparationInstance,
+        {"weights": [0.25, 0.75], "mixtures": [[0.2, 0.4], [0.9, 0.1]], "reference": [0.5, 0.6]},
+        {},
+    ),
+]
+
+
+@pytest.mark.parametrize(
+    "cls, values, clipped", _ARRAY_RECORDS, ids=[cls.__name__ for cls, _, _ in _ARRAY_RECORDS]
+)
+def test_array_records_copy_check_and_freeze_each_field(cls, values, clipped):
+    record = cls(**values)
+    for f in dataclasses.fields(cls):
+        arr = getattr(record, f.name)
+        assert arr.dtype == np.float64 and not arr.flags.writeable
+        assert arr.tolist() == clipped.get(f.name, values[f.name])
+        value = np.array(values[f.name])
+        with pytest.raises(InputError, match=f"^{f.name} must be a {value.ndim}-dimensional array"):
+            cls(**{**values, f.name: value[None]})
+        value.flat[-1] = math.inf
+        with pytest.raises(InputError, match=f"^{f.name} holds a non-finite value$"):
+            cls(**{**values, f.name: value})
+    twin = cls(**values)
+    assert record == twin
+    if cls is SeparationInstance:
+        # the stacked rows are kept for the oracle, outside the fields
+        assert record.rows.tolist() == values["mixtures"] + [values["reference"]]
+        assert not record.rows.flags.writeable
+        assert "rows" not in repr(record) + repr(twin)
+        assert "rows" not in [f.name for f in dataclasses.fields(cls)]
 
 
 @pytest.mark.parametrize(
