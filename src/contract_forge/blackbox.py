@@ -120,7 +120,9 @@ class QueryOracle:
         most min(size, 2^m) are live; past PARTIALS_CAP it raises
         CapacityError.
         """
-        self._check(action, size)
+        _check_action(self.hidden, action)
+        if size < 1:
+            raise InputError("size must be at least 1")
         if size > np.iinfo(np.int64).max:
             raise CapacityError(f"{size} queries per action exceed a 64-bit count")
         if isinstance(self.hidden, ExplicitSetting):
@@ -143,23 +145,17 @@ class QueryOracle:
             counts = np.concatenate([left[out], taken[into]])
         return masks, counts
 
-    def _check(self, action: int, size: int) -> None:
-        _check_action(self.hidden, action)
-        if size < 1:
-            raise InputError("size must be at least 1")
-
 
 @dataclass(frozen=True)
 class EmpiricalModel:
     """Observed outcomes and their per-action frequencies after s queries each.
 
     `setting` is the explicit setting over the observed-outcome union with
-    true rewards per outcome; `outcomes[k]` is the hidden identifier behind
-    column k.
+    true rewards per outcome and the observed frequencies as its dist;
+    `outcomes[k]` is the hidden identifier behind column k.
     """
 
     outcomes: Tuple[int, ...]
-    counts: Tuple[Tuple[int, ...], ...]
     samples: int
     setting: ExplicitSetting
 
@@ -168,7 +164,7 @@ class EmpiricalModel:
             k = self.outcomes.index(outcome)
         except ValueError:
             return 0.0
-        return self.counts[action][k] / self.samples
+        return float(self.setting.dist[action, k])
 
     def relabel(self, contract: Sparse) -> Sparse:
         """Map a contract over empirical columns back to hidden identifiers."""
@@ -212,12 +208,7 @@ def estimate(oracle: QueryOracle, s: int) -> EmpiricalModel:
         outcome_rewards=outcome_rewards(hidden, outcomes),
         dist=counts / s,
     )
-    return EmpiricalModel(
-        outcomes=tuple(outcomes.tolist()),
-        counts=tuple(map(tuple, counts.tolist())),
-        samples=s,
-        setting=setting,
-    )
+    return EmpiricalModel(outcomes=tuple(outcomes.tolist()), samples=s, setting=setting)
 
 
 @dataclass(frozen=True)
@@ -275,9 +266,7 @@ class NegativePairInfo:
     beta: float
     eta: float
     reward_low: float
-    reward_high: float
     benchmark_payoff: float
-    min_outcome_probability: float
     symmetric_payoff_cap: float
 
     def query_lower_bound(self, gamma: float) -> float:
@@ -320,9 +309,7 @@ def negative_pair(eta: float) -> Tuple[ProductSetting, ProductSetting, NegativeP
         beta=beta,
         eta=eta,
         reward_low=2.0 * beta / tau,
-        reward_high=1.0,
         benchmark_payoff=beta,
-        min_outcome_probability=eta,
         symmetric_payoff_cap=cap,
     )
     return first, second, info

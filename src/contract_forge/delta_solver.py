@@ -35,15 +35,13 @@ from typing import Optional, Tuple
 import numpy as np
 
 from .errors import InputError, ResourceError
-from .exact import OptContractResult, best_action, payment_lp, read_contract
+from .exact import OptContractResult, best_action, check_payment_delta, payment_lp, read_contract
 from .lpcore import OPTIMAL
 from .model import (
     MULTIPLICATIVE,
     ProductSetting,
     Sparse,
     _check_action,
-    check_delta,
-    check_resolves_at_one,
     expected_payment,
     outcome_probabilities,
 )
@@ -87,10 +85,9 @@ def min_payment_delta(setting: ProductSetting, action: int, delta: float) -> Del
     if not isinstance(setting, ProductSetting):
         raise InputError("min_payment_delta needs a product setting")
     _check_action(setting, action)
-    check_delta(delta)
+    check_payment_delta(delta, MULTIPLICATIVE)  # also keeps the oracle's bucket factor above 1
     if not (delta > 0.0):
         raise InputError("delta must be positive; use exact.min_payment for delta=0")
-    check_resolves_at_one("delta", delta)  # the oracle's eps = delta would round its buckets to 1
 
     pool, trace, value, lam, primal = _generate_columns(setting, action, delta)
     outcomes = np.fromiter(pool, dtype=np.int64, count=len(pool))

@@ -26,7 +26,7 @@ from typing import TYPE_CHECKING, List, Optional, Union
 import numpy as np
 
 from .errors import CapacityError, InputError, ResourceError
-from .lpcore import INFEASIBLE, LPSolution, solve_lp
+from .lpcore import INFEASIBLE, TOL_ROUND, LPSolution, solve_lp
 from .model import (
     M_MAX_ENUMERATE,
     MULTIPLICATIVE,
@@ -85,7 +85,7 @@ def min_payment(
     ResourceError rather than return a contract that `verify` rejects.
     """
     notion = normalize_notion(notion)
-    check_delta(delta)
+    check_payment_delta(delta, notion)
     _check_action(setting, action)
     rivals = np.arange(setting.n) != action
     outcomes, ratios = _ratio_columns(setting, action, rivals)
@@ -134,6 +134,17 @@ def read_contract(
     if slack < -TOL_IC * money_unit(setting):
         raise ResourceError(f"the LP's contract for action {action} misses IC by {-slack:.3g}")
     return contract
+
+
+def check_payment_delta(delta: float, notion: str) -> None:
+    """InputError unless delta >= 0 is finite and payment_lp can tell it from roundoff.
+
+    A multiplicative delta > 0 puts 1 - (1+delta) on the sure event's column,
+    and lpcore.solve_lp reads an entry of -lpcore.TOL_ROUND or more as 0.
+    """
+    check_delta(delta)
+    if notion == MULTIPLICATIVE and delta > 0.0 and 1.0 - (1.0 + delta) >= -TOL_ROUND:
+        raise InputError(f"multiplicative delta={delta} is below what the payment LP tells from roundoff")
 
 
 def payment_lp(ratios: np.ndarray, cost_gaps: np.ndarray, delta: float, notion: str) -> LPSolution:
@@ -199,8 +210,6 @@ def best_action(
     payoffs = [float(rewards[i]) - res.expected_payment for i, res in enumerate(per_action)]
     cutoff = max(payoffs) - TOL_TIE * money_unit(setting)
     winner = next(i for i, p in enumerate(payoffs) if p >= cutoff)
-    if payoffs[winner] == -math.inf:
-        raise InputError("no action is implementable (free action missing?)")
     return OptContractResult(
         payoff=payoffs[winner],
         action=winner,

@@ -24,12 +24,13 @@ reduced cost is c_j - dual @ A[:, j], which column generation prices with.
 Scaling and tolerances. solve_lp divides the objective by its largest entry
 and the right-hand side by its largest |entry| (1 when all are 0), solves,
 and scales primal, duals and objective value back. So the answer does not
-depend on the unit the LP is written in, and the two tolerances are
-relative to the largest |rhs| entry. A basic value below -_TOL_ROUND is
-short and is pivoted on (row entries above -_TOL_ROUND are treated as
-zero). A short row with no entry to pivot on proves the LP infeasible if
-it is short by more than TOL_FEAS; otherwise it is roundoff and is set
-to 0.
+depend on the unit the LP is written in, and the two tolerances on basic
+values are relative to the largest |rhs| entry. A basic value below
+-TOL_ROUND is short and is pivoted on. Row entries are not scaled: one of
+-TOL_ROUND or more is treated as zero (exact.check_payment_delta rejects
+a multiplicative delta whose entry -delta would be one). A short row with
+no entry to pivot on proves the LP infeasible if it is short by more than
+TOL_FEAS; otherwise it is roundoff and is set to 0.
 """
 
 from __future__ import annotations
@@ -46,7 +47,7 @@ INFEASIBLE = "infeasible"
 
 TOL_FEAS = 1e-7
 MAX_ITER = 50_000
-_TOL_ROUND = 1e-12
+TOL_ROUND = 1e-12
 
 
 @dataclass
@@ -95,11 +96,11 @@ def solve_lp(objective, rows, rhs) -> LPSolution:
 
     iterations = 0
     while True:
-        short = np.flatnonzero(t[:nr, -1] < -_TOL_ROUND)
+        short = np.flatnonzero(t[:nr, -1] < -TOL_ROUND)
         if not short.size:
             break
         prow = int(short[np.argmin(basis[short])])
-        cand = np.flatnonzero(t[prow, :-1] < -_TOL_ROUND)
+        cand = np.flatnonzero(t[prow, :-1] < -TOL_ROUND)
         if not cand.size:
             if t[prow, -1] < -TOL_FEAS:
                 return LPSolution(INFEASIBLE, None, None, np.inf, iterations)

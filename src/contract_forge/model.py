@@ -142,6 +142,7 @@ class ProductSetting(ArrayFields):
         outside = probs[(probs < -TOL_VALID) | (probs > 1.0 + TOL_VALID)]
         if outside.size:
             raise InputError(f"item probability {outside[0]} outside [0, 1]")
+        _check_expected_rewards(self)
         unit = money_unit(self)
         if (costs < -TOL_VALID * unit).any():
             raise InputError("costs must be nonnegative")
@@ -186,6 +187,7 @@ class ExplicitSetting(ArrayFields):
         if off.size:
             raise InputError(f"dist row {off[0]} sums to {sums[off[0]]}, expected 1")
         np.clip(dist, 0.0, None, out=dist)
+        _check_expected_rewards(self)
 
     @property
     def n(self) -> int:
@@ -197,6 +199,12 @@ class ExplicitSetting(ArrayFields):
 
 
 Setting = Union[ProductSetting, ExplicitSetting]
+
+
+def _check_expected_rewards(setting: Setting) -> None:
+    with np.errstate(over="ignore"):
+        if not np.isfinite(expected_rewards(setting)).all():
+            raise CapacityError("an action's expected reward falls outside float64's range")
 
 
 def is_normalized(setting: Setting) -> bool:
@@ -239,9 +247,6 @@ class Sparse:
             if pay > 0.0:
                 cleaned[int(outcome)] = pay
         self.payments = cleaned
-
-    def payment(self, outcome: int) -> float:
-        return self.base + self.payments.get(outcome, 0.0)
 
 
 @dataclass
@@ -353,20 +358,25 @@ def _item_marginals(setting: Setting) -> np.ndarray:
 
 
 def expected_payments(setting: Setting, contract: Contract) -> np.ndarray:
-    """Expected transfer to the agent under `contract`, for every action."""
-    if isinstance(contract, Sparse):
-        pays = np.array(list(contract.payments.values()))
-        return contract.base + outcome_probabilities(setting, contract.payments) @ pays
-    if isinstance(contract, Linear):
-        return contract.alpha * expected_rewards(setting)
-    if isinstance(contract, Mixed):
-        return expected_payments(setting, contract.sparse) + contract.alpha * expected_rewards(setting)
-    if isinstance(contract, Separable):
-        marg = _item_marginals(setting)
-        if len(contract.item_payments) != marg.shape[1]:
-            raise InputError("separable contract length does not match item count")
-        return marg @ np.array(contract.item_payments)
-    raise InputError(f"unknown contract type {type(contract).__name__}")
+    """Expected transfer to the agent under `contract`, for every action; CapacityError past float64."""
+    with np.errstate(over="ignore"):
+        if isinstance(contract, Sparse):
+            paid = np.array(list(contract.payments.values()))
+            pays = contract.base + outcome_probabilities(setting, contract.payments) @ paid
+        elif isinstance(contract, Linear):
+            pays = contract.alpha * expected_rewards(setting)
+        elif isinstance(contract, Mixed):
+            pays = expected_payments(setting, contract.sparse) + contract.alpha * expected_rewards(setting)
+        elif isinstance(contract, Separable):
+            marg = _item_marginals(setting)
+            if len(contract.item_payments) != marg.shape[1]:
+                raise InputError("separable contract length does not match item count")
+            pays = marg @ np.array(contract.item_payments)
+        else:
+            raise InputError(f"unknown contract type {type(contract).__name__}")
+    if not np.isfinite(pays).all():
+        raise CapacityError("an expected payment under the contract falls outside float64's range")
+    return pays
 
 
 def expected_payment(setting: Setting, action: int, contract: Contract) -> float:
@@ -391,7 +401,6 @@ def money_unit(setting: Setting) -> float:
 @dataclass(frozen=True)
 class AgentChoice:
     action: int
-    utility: float
     payoff: float  # principal's expected payoff at the chosen action
 
 
@@ -409,7 +418,7 @@ def best_response(setting: Setting, contract: Contract, delta: float = 0.0) -> A
     candidates = utils >= utils.max() - delta - tol
     best_p = payoffs[candidates].max()
     action = int(np.flatnonzero(candidates & (payoffs >= best_p - tol))[0])
-    return AgentChoice(action=action, utility=float(utils[action]), payoff=float(payoffs[action]))
+    return AgentChoice(action=action, payoff=float(payoffs[action]))
 
 
 def _ic_notion(notion: Optional[str], delta: float) -> str:
@@ -533,10 +542,8 @@ def min_nonzero_outcome_probability(setting: Setting) -> float:
     enumerated. A product that underflows to 0 raises CapacityError.
     """
     if isinstance(setting, ExplicitSetting):
-        nz = setting.dist[setting.dist > 0.0]
-        if nz.size == 0:
-            raise InputError("setting has no positive-probability outcome")
-        return float(nz.min())
+        # a validated dist row sums to within TOL_VALID of 1, so it has a positive entry
+        return float(setting.dist[setting.dist > 0.0].min())
     q = setting.probs
     factors = np.where((q > 0.0) & (q < 1.0), np.minimum(q, 1.0 - q), 1.0)
     least = np.ones(setting.n)

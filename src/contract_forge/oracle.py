@@ -214,9 +214,7 @@ def min_ratio_bruteforce(inst: SeparationInstance) -> OracleResult:
     probs = all_subset_probabilities(inst.rows)
     ref = probs[-1]
     num = _weighted_sum(inst.weights, probs[:-1])
-    valid = ref > 0.0
-    if not valid.any():
-        raise InputError("reference distribution assigns zero to every outcome")
+    valid = ref > 0.0  # the likeliest outcome has probability at least 2^-m
     ratios = np.full(ref.shape, np.inf)
     ratios[valid] = num[valid] / ref[valid]
     best = int(np.argmin(ratios))  # first occurrence = lowest bitmask
@@ -327,10 +325,10 @@ def _bucketing_dp(inst: SeparationInstance, eps: float) -> Tuple[OracleResult, t
         del grown
         counts.append(kept)
 
+    # some ref > 0: the likelier side of each item at most halves the best partial's, and
+    # its bucket keeps one within the bucket factor, so one of at least 2^-m (1+eps)^-1/2 stays
     ref = probs[-1]
     valid = ref > 0.0
-    if not valid.any():
-        raise InputError("reference distribution assigns zero to every outcome")
     ratios = _weighted_sum(inst.weights, probs[:-1])[valid]
     with np.errstate(over="ignore"):  # a subnormal reference probability makes an inf ratio
         ratios /= ref[valid]

@@ -102,8 +102,18 @@ def test_zero_probability_outcomes_never_observed():
     emp = estimate(QueryOracle(hidden, seed=11), s=400)
     for i in range(hidden.n):
         for k, outcome in enumerate(emp.outcomes):
-            if emp.counts[i][k] > 0:
+            if emp.setting.dist[i, k] > 0.0:
                 assert outcome_probability(hidden, i, outcome) > 0.0
+
+
+def test_frequency_of_an_outcome_never_seen_is_zero():
+    # item 0 is never realized, so outcomes 0b01 and 0b11 never turn up
+    hidden = ProductSetting(costs=(0.0, 0.2), rewards=(0.9, 0.4), probs=((0.0, 0.5), (0.0, 0.6)))
+    emp = estimate(QueryOracle(hidden, seed=5), s=100)
+    assert emp.outcomes == (0b00, 0b10)
+    for i in range(hidden.n):
+        assert emp.frequency(i, 0b01) == 0.0 and emp.frequency(i, 0b11) == 0.0
+        assert [emp.frequency(i, o) for o in emp.outcomes] == emp.setting.dist[i].tolist()
 
 
 def test_estimate_reproducible():
@@ -120,7 +130,8 @@ def test_frequencies_sum_to_one():
     emp = estimate(QueryOracle(PIPELINE_SETTING, seed=3), s=1234)
     for row in emp.setting.dist:
         assert sum(row) == pytest.approx(1.0, abs=1e-9)
-    assert all(sum(row) == emp.samples for row in emp.counts)
+    oracle = QueryOracle(PIPELINE_SETTING, seed=3)
+    assert all(oracle.sample_counts(i, 1234)[1].sum() == emp.samples for i in range(emp.setting.n))
 
 
 def test_estimation_event_rate():
@@ -320,7 +331,12 @@ def test_estimate_at_billions_of_samples_stays_small():
     finally:
         tracemalloc.stop()
     assert peak < 10 * 2**20
-    assert emp.samples == s and all(sum(row) == s for row in emp.counts)
+    assert emp.samples == s
+    oracle = QueryOracle(hidden, seed=0)
+    for i, row in enumerate(emp.setting.dist):
+        ids, cnt = oracle.sample_counts(i, s)
+        assert cnt.sum() == s
+        assert row[np.searchsorted(emp.outcomes, ids)].tolist() == (cnt / s).tolist()
 
 
 def test_sampling_past_partial_cap_exits_4(tmp_path, capsys):
@@ -382,8 +398,10 @@ def test_estimate_outcomes_are_the_unique_draws(hidden, s):
     emp = estimate(QueryOracle(hidden, seed=17), s)
     assert emp.outcomes == tuple(want.tolist())
     for i, (ids, cnt) in enumerate(draws):
-        assert [emp.counts[i][emp.outcomes.index(o)] for o in ids.tolist()] == cnt.tolist()
-        assert sum(emp.counts[i]) == s
+        row = np.zeros(want.size)
+        row[np.searchsorted(want, ids)] = cnt / s
+        assert emp.setting.dist[i].tolist() == row.tolist()
+        assert cnt.sum() == s
 
 
 def test_blackbox_leaves_numpy_ma_unimported():

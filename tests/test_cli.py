@@ -313,6 +313,26 @@ def test_transform_ir_contract_roundtrip(tmp_path, capsys):
     assert json.loads(dumps(load_contract(str(out_c)))) == res["contract"]
 
 
+def test_transform_reads_the_mixed_contract_it_writes(tmp_path, capsys):
+    # --to ir writes a linear contract back as a mixed one: a base of delta and the same share
+    inst, lin, mixed = tmp_path / "inst.json", tmp_path / "lin.json", tmp_path / "mixed.json"
+    inst.write_text(_NORMALIZED)
+    lin.write_text('{"kind": "linear", "alpha": 0.3}')
+    lift = ["--delta", "0.1", "--to", "ir"]
+    code, _, err = run(capsys, ["transform", "--instance", str(inst), "--contract", str(lin), *lift,
+                                "--contract-out", str(mixed)])
+    assert code == 0, err
+    # lifting again adds delta to the base; blending at delta 0.25 halves the base
+    # and moves the share to 0.5 * 0.3 + 0.5
+    for argv, base, alpha in ((lift, 0.2, 0.3), (["--delta", "0.25", "--to", "ic"], 0.05, 0.65)):
+        code, out, err = run(capsys, ["transform", "--instance", str(inst), "--contract", str(mixed), *argv])
+        assert code == 0, err
+        contract = result_of(out)["contract"]
+        assert contract["kind"] == "mixed" and contract["sparse"]["payments"] == []
+        assert contract["sparse"]["base"] == pytest.approx(base)
+        assert contract["alpha"] == pytest.approx(alpha)
+
+
 def test_oracle_fptas(tmp_path, capsys):
     sep = tmp_path / "sep.json"
     sep.write_text(
@@ -631,13 +651,19 @@ def test_subnormal_probability_keeps_exit_code_contract(tmp_path, capsys, comman
 # the paid outcome's payment y / q overflows float64 in both solvers' read-off
 _HUGE_PAYMENT = {"kind": "product", "costs": [0.0, 0.01], "rewards": [1e154, 1e154],
                  "probs": [[1e-160, 1e-160], [1e-156, 1e-156]]}
+# action 1 reaches outcome 0 with probability 1e-310, so action 0's ratio 0.5 / 1e-310 overflows
+_HUGE_RATIO = {"kind": "explicit", "costs": [0, 0.1], "outcome_rewards": [0, 1],
+               "dist": [[0.5, 0.5], [1e-310, 1.0]]}
 
 
-@pytest.mark.parametrize("command", [["solve"], ["delta-solve", "--delta", "0.1"]],
-                         ids=["solve", "delta-solve"])
-def test_payment_past_float64_exits_4(tmp_path, capsys, command):
+@pytest.mark.parametrize(
+    "command,data",
+    [(["solve"], _HUGE_PAYMENT), (["delta-solve", "--delta", "0.1"], _HUGE_PAYMENT), (["solve"], _HUGE_RATIO)],
+    ids=["solve", "delta-solve", "solve-likelihood-ratio"],
+)
+def test_payment_past_float64_exits_4(tmp_path, capsys, command, data):
     inst = tmp_path / "inst.json"
-    inst.write_text(json.dumps(_HUGE_PAYMENT))
+    inst.write_text(json.dumps(data))
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         code, out, err = run(capsys, [command[0], "--instance", str(inst), *command[1:]])
@@ -905,8 +931,20 @@ _COMMANDS = [
 ]
 
 
+def _command_argv(command, inst, con):
+    """`command` from _COMMANDS run on the instance file, with the contract file where it reads one."""
+    argv = [command[0], "--instance", str(inst), *command[1:]]
+    if command[0] in ("verify", "transform"):
+        argv += ["--contract", str(con)]
+    return argv
+
+
+def _command_id(command):
+    return "-".join(arg.lstrip("-") for arg in command)
+
+
 def _assert_exit_code_contract(argv):
-    """exit 0, 2, 3 or 4, never an uncaught exception, and no stdout on 2 or 4."""
+    """exit 0, 2, 3 or 4, never an uncaught exception, and no stdout on 2 or 4; returns the code."""
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err), warnings.catch_warnings():
         warnings.simplefilter("ignore")
@@ -915,6 +953,7 @@ def _assert_exit_code_contract(argv):
     assert "Traceback" not in err.getvalue()
     if code in (2, 4):
         assert out.getvalue() == ""
+    return code
 
 
 @settings(max_examples=200)
@@ -929,10 +968,45 @@ def test_fuzzed_json_keeps_exit_code_contract(data):
             fh.write(json.dumps(instance))
         with open(con, "w") as fh:
             fh.write(json.dumps(contract))
-        argv = [command[0], "--instance", inst, *command[1:]]
-        if command[0] in ("verify", "transform"):
-            argv += ["--contract", con]
-        _assert_exit_code_contract(argv)
+        _assert_exit_code_contract(_command_argv(command, inst, con))
+
+
+@pytest.mark.parametrize("command", _COMMANDS, ids=_command_id)
+def test_expected_reward_past_float64_exits_4(tmp_path, command):
+    # each item's reward fits float64, but action 1's expected reward of 2e308 does not
+    inst, con = tmp_path / "inst.json", tmp_path / "con.json"
+    inst.write_text(
+        '{"kind": "product", "costs": [0, 0.5], "rewards": [1e308, 1e308], "probs": [[0.9, 0.9], [1, 1]]}'
+    )
+    con.write_text('{"kind": "linear", "alpha": 0.3}')
+    assert _assert_exit_code_contract(_command_argv(command, inst, con)) == 4
+
+
+@pytest.mark.parametrize(
+    "contract",
+    [
+        {"kind": "separable", "item_payments": [1e308] * 4},
+        {"kind": "mixed", "alpha": 0.5,
+         "sparse": {"kind": "sparse", "base": 1.7e308, "payments": [{"outcome": [0], "pay": 1.7e308}]}},
+    ],
+    ids=["separable", "mixed"],
+)
+@pytest.mark.parametrize(
+    "command",
+    [["verify", "--action", "1"], ["transform", "--delta", "0.1", "--to", "ir"],
+     ["transform", "--delta", "0.25", "--to", "ic"]],
+    ids=_command_id,
+)
+def test_expected_payment_past_float64_exits_4(tmp_path, capsys, contract, command):
+    # every payment fits float64, but an action's expected payment does not
+    inst, con = tmp_path / "inst.json", tmp_path / "con.json"
+    inst.write_text(dumps(gen_random(3, 4, 1)))
+    con.write_text(json.dumps(contract))
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code, out, err = run(capsys, _command_argv(command, inst, con))
+    assert code == 4 and out == "" and "float64" in err
+    assert caught == []
 
 
 @st.composite
@@ -962,30 +1036,42 @@ def _main(argv):
     return code, out.getvalue(), err.getvalue()
 
 
+_TWIN = '{"kind": "product", "costs": [0.0, 0.5], "rewards": [1.0], "probs": [[0.9], [0.9]]}'
+
+
 @settings(max_examples=40, deadline=None)
 @given(
     n=st.integers(2, 4),
     m=st.integers(3, 8),
     seed=st.integers(0, 50),
-    delta=st.sampled_from(["0", "1e-6", "0.1", "10", "1e6", "1e12", "1e50", "1e300"]),
+    delta=st.sampled_from(["0", "1e-13", "1e-6", "0.1", "10", "1e6", "1e12", "1e50", "1e300"]),
+    twin=st.booleans(),
 )
-@example(n=4, m=5, seed=1, delta="1e12")
-def test_every_delta_gives_a_contract_verify_accepts(n, m, seed, delta):
+@example(n=4, m=5, seed=1, delta="1e12", twin=False)
+@example(n=3, m=4, seed=1, delta="1e-13", twin=False)
+@example(n=2, m=3, seed=0, delta="1e-13", twin=True)
+def test_every_delta_gives_a_contract_verify_accepts(n, m, seed, delta, twin):
     # the multiplicative LP pays about c_a / (1 + delta), so a read-off that
     # dropped payments below a fixed number of money units returned, from
-    # delta = 1e12 on, an empty contract that missed IC
+    # delta = 1e12 on, an empty contract that missed IC. A multiplicative
+    # delta of 1e-13 exits 2: the simplex reads the sure event's entry -delta
+    # as 0, which made a feasible LP infeasible or, on the twin setting
+    # (action 1 has action 0's outcomes at a cost), action 1 not implementable
     runs = [("solve", "add"), ("solve", "mult")]
     if float(delta) > 0.0:
         runs.append(("delta-solve", "mult"))
     with tempfile.TemporaryDirectory() as tmp:
         inst, con = os.path.join(tmp, "inst.json"), os.path.join(tmp, "con.json")
         with open(inst, "w") as fh:
-            fh.write(dumps(gen_random(n, m, seed)))
+            fh.write(_TWIN if twin else dumps(gen_random(n, m, seed)))
         for command, notion in runs:
             argv = [command, "--instance", inst, "--delta", delta, "--contract-out", con]
             if command == "solve":
                 argv += ["--notion", notion]
             code, out, err = _main(argv)
+            if notion == "mult" and delta == "1e-13":
+                assert code == 2 and out == "" and "roundoff" in err, (argv, err)
+                continue
             assert code == 0, (argv, err)
             action = str(result_of(out)["action"])
             verify = ["verify", "--instance", inst, "--contract", con, "--action", action]
