@@ -137,11 +137,7 @@ def read_contract(
 
 
 def check_payment_delta(delta: float, notion: str) -> None:
-    """InputError unless delta >= 0 is finite and payment_lp can tell it from roundoff.
-
-    A multiplicative delta > 0 puts 1 - (1+delta) on the sure event's column,
-    and lpcore.solve_lp reads an entry of -lpcore.TOL_ROUND or more as 0.
-    """
+    """InputError unless delta >= 0 is finite and solve_lp tells a multiplicative -delta from 0."""
     check_delta(delta)
     if notion == MULTIPLICATIVE and delta > 0.0 and 1.0 - (1.0 + delta) >= -TOL_ROUND:
         raise InputError(f"multiplicative delta={delta} is below what the payment LP tells from roundoff")

@@ -94,8 +94,9 @@ def optimal_linear(setting: Setting, delta: float = 0.0) -> Tuple[float, int, fl
     rewards = expected_rewards(setting)
     shares = _cheapest_delta_ic_alphas(rewards, setting.costs, delta)
     on = np.flatnonzero(~np.isnan(shares)).tolist()
-    # the cheapest action is a candidate: alpha = 0 meets every rival's bound
     candidates = [(float(shares[i]), i, (1.0 - shares[i]) * rewards[i]) for i in on]
+    if not candidates:
+        raise InputError("no action admits a delta-IC linear contract")
     return _pick_best(candidates, rewards, TOL_TIE * money_unit(setting))
 
 
@@ -155,7 +156,8 @@ def optimal_separable(
         if sol.status == OPTIMAL:
             payments = tuple(float(p) for p in sol.primal)
             candidates.append((payments, i, float(rewards[i] - sol.objective_value)))
-    # the cheapest action's LP has rhs >= 0, so it is a candidate at zero payments
+    if not candidates:
+        raise InputError("no action admits a delta-IC separable contract")
     return _pick_best(candidates, rewards, TOL_TIE * money_unit(setting))
 
 

@@ -24,13 +24,12 @@ reduced cost is c_j - dual @ A[:, j], which column generation prices with.
 Scaling and tolerances. solve_lp divides the objective by its largest entry
 and the right-hand side by its largest |entry| (1 when all are 0), solves,
 and scales primal, duals and objective value back. So the answer does not
-depend on the unit the LP is written in, and the two tolerances on basic
-values are relative to the largest |rhs| entry. A basic value below
--TOL_ROUND is short and is pivoted on. Row entries are not scaled: one of
--TOL_ROUND or more is treated as zero (exact.check_payment_delta rejects
-a multiplicative delta whose entry -delta would be one). A short row with
-no entry to pivot on proves the LP infeasible if it is short by more than
-TOL_FEAS; otherwise it is roundoff and is set to 0.
+depend on the LP's unit, and the two tolerances on basic values are relative
+to the largest |rhs| entry. A basic value below -TOL_ROUND is short and is
+pivoted on. Row entries are not scaled: one of -TOL_ROUND or more reads as 0
+(exact.check_payment_delta rejects a multiplicative delta whose -delta would).
+A short row with no entry to pivot on proves the LP infeasible if it is short
+by more than TOL_FEAS; otherwise it is roundoff and is set to 0.
 """
 
 from __future__ import annotations

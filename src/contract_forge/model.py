@@ -142,13 +142,13 @@ class ProductSetting(ArrayFields):
         outside = probs[(probs < -TOL_VALID) | (probs > 1.0 + TOL_VALID)]
         if outside.size:
             raise InputError(f"item probability {outside[0]} outside [0, 1]")
-        _check_expected_rewards(self)
-        unit = money_unit(self)
+        expected = _checked_expected_rewards(self)
+        unit = float(np.abs(expected).max()) or 1.0  # money_unit(self)
         if (costs < -TOL_VALID * unit).any():
             raise InputError("costs must be nonnegative")
         if (rewards < -TOL_VALID * unit).any():
             raise InputError("rewards must be nonnegative")
-        welfare = probs @ rewards - costs
+        welfare = expected - costs
         losing = np.flatnonzero(welfare < -TOL_WELFARE * unit)
         if losing.size:
             i = losing[0]
@@ -187,7 +187,7 @@ class ExplicitSetting(ArrayFields):
         if off.size:
             raise InputError(f"dist row {off[0]} sums to {sums[off[0]]}, expected 1")
         np.clip(dist, 0.0, None, out=dist)
-        _check_expected_rewards(self)
+        _checked_expected_rewards(self)
 
     @property
     def n(self) -> int:
@@ -201,10 +201,15 @@ class ExplicitSetting(ArrayFields):
 Setting = Union[ProductSetting, ExplicitSetting]
 
 
-def _check_expected_rewards(setting: Setting) -> None:
+def _checked_expected_rewards(setting: Setting) -> np.ndarray:
+    """expected_rewards(setting); CapacityError when one, or a gap between two, is past float64."""
     with np.errstate(over="ignore"):
-        if not np.isfinite(expected_rewards(setting)).all():
-            raise CapacityError("an action's expected reward falls outside float64's range")
+        expected = expected_rewards(setting)
+        gaps = np.ptp(expected), np.ptp(setting.costs)
+        if not (np.isfinite(expected).all() and np.isfinite(gaps).all()):
+            raise CapacityError("an expected reward, or a gap between two actions' "
+                                "rewards or costs, falls outside float64's range")
+    return expected
 
 
 def is_normalized(setting: Setting) -> bool:

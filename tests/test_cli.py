@@ -971,13 +971,22 @@ def test_fuzzed_json_keeps_exit_code_contract(data):
         _assert_exit_code_contract(_command_argv(command, inst, con))
 
 
+@pytest.mark.parametrize(
+    "setting",
+    [
+        # each item's reward fits float64, but action 1's expected reward of 2e308 does not
+        '{"kind": "product", "costs": [0, 0.5], "rewards": [1e308, 1e308], "probs": [[0.9, 0.9], [1, 1]]}',
+        # each expected reward and cost fits, but the gaps between the two actions' do not;
+        # linear's shares came out NaN (no action, or an IndexError in linear --gamma's envelope)
+        '{"kind": "explicit", "costs": [-1e308, 1e308], "outcome_rewards": [1e308, -1e308],'
+        ' "dist": [[1, 0], [0, 1]]}',
+    ],
+    ids=["reward", "gap"],
+)
 @pytest.mark.parametrize("command", _COMMANDS, ids=_command_id)
-def test_expected_reward_past_float64_exits_4(tmp_path, command):
-    # each item's reward fits float64, but action 1's expected reward of 2e308 does not
+def test_setting_past_float64_exits_4(tmp_path, command, setting):
     inst, con = tmp_path / "inst.json", tmp_path / "con.json"
-    inst.write_text(
-        '{"kind": "product", "costs": [0, 0.5], "rewards": [1e308, 1e308], "probs": [[0.9, 0.9], [1, 1]]}'
-    )
+    inst.write_text(setting)
     con.write_text('{"kind": "linear", "alpha": 0.3}')
     assert _assert_exit_code_contract(_command_argv(command, inst, con)) == 4
 
