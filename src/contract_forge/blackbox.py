@@ -190,11 +190,9 @@ class EmpiricalModel:
 def estimate(oracle: QueryOracle, s: int) -> EmpiricalModel:
     """Record empirical outcome frequencies over s queries per action.
 
-    Draws the counts of the s queries (QueryOracle.sample_counts), not the
-    queries themselves.
+    Draws the counts of the s queries (QueryOracle.sample_counts, which
+    rejects an s below 1), not the queries themselves.
     """
-    if s < 1:
-        raise InputError("need at least one query per action")
     hidden = oracle.hidden
     draws = [oracle.sample_counts(i, s) for i in range(hidden.n)]
     # sorted distinct ids by one sort; np.unique would import numpy.ma
@@ -234,10 +232,6 @@ def blackbox_contract(oracle: QueryOracle, eps: float, gamma: float) -> BlackBox
     driver, not part of the query complexity.
     """
     hidden = oracle.hidden
-    if not 0.0 < eps <= 0.5:
-        raise InputError(f"eps must lie in (0, 1/2], got {eps}")
-    if not 0.0 < gamma < 1.0:
-        raise InputError(f"gamma must lie in (0, 1), got {gamma}")
     if not is_normalized(hidden):
         raise InputError("hidden setting must be normalized (expected rewards <= 1)")
     eta = min_nonzero_outcome_probability(hidden)

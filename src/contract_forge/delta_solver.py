@@ -125,7 +125,7 @@ def _generate_columns(
         if sol.status != OPTIMAL:
             raise ResourceError(f"restricted payment LP ended {sol.status}")
         value = one * sol.objective_value
-        lam = one * np.maximum(-sol.dual, 0.0)
+        lam = -one * sol.dual  # lpcore's duals are <= 0
         # no outcome priced in means lam survives the oracle, which certifies
         # exact feasibility for the unstrengthened dual
         total = float(lam.sum())
@@ -155,7 +155,7 @@ def _generate_columns(
             )
         )
         if outcome is None:
-            return pool, trace, value, lam, np.maximum(sol.primal, 0.0)
+            return pool, trace, value, lam, sol.primal
         q = outcome_probabilities(setting, [outcome])[:, 0]
         if q[action] <= 0.0:
             raise ResourceError("separation returned an outcome the target never produces")

@@ -124,9 +124,9 @@ def read_contract(
     paid = np.flatnonzero(primal > 0.0)
     y = primal[paid]
     q_paid = outcome_probabilities(setting, outcomes[paid])[action]
-    with np.errstate(divide="ignore", over="ignore"):
+    with np.errstate(divide="ignore", over="ignore"):  # y > 0 and q <= 1: pay >= y, or inf
         pay = y / q_paid
-    if not (np.isfinite(pay) & (pay > 0.0)).all():
+    if not np.isfinite(pay).all():
         raise CapacityError(f"a payment for action {action} falls outside float64's range")
     kept = y > TOL_ZERO * (y.sum() + base)
     contract = Sparse(base=base, payments=dict(zip(outcomes[paid][kept].tolist(), pay[kept].tolist())))

@@ -17,9 +17,10 @@ lowest basic index leaves, and the lowest-index column of the ratio-test
 ties enters, so the method cannot cycle. An LP with b >= 0 stops at x = 0
 without a pivot.
 
-Duals. One multiplier per row, read from the slack columns: nonpositive,
-with dual @ b equal to the objective value at an optimum. A column's
-reduced cost is c_j - dual @ A[:, j], which column generation prices with.
+Duals. One multiplier per row, read from the slack columns, with dual @ b
+equal to the objective value at an optimum; a column's reduced cost is
+c_j - dual @ A[:, j]. Exact signs, which callers rely on: primal >= 0 with
+no -0.0, dual <= 0, and an objective value that is never -0.0.
 
 Scaling and tolerances. solve_lp divides the objective by its largest entry
 and the right-hand side by its largest |entry| (1 when all are 0), solves,

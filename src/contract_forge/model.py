@@ -300,15 +300,21 @@ Contract = Union[Sparse, Linear, Separable, Mixed]
 # ---------------------------------------------------------------------------
 
 
+def _check_outcomes(setting: Setting, lowest: int, highest: int) -> None:
+    """InputError unless the outcome ids from `lowest` to `highest` exist; 0 exists in every setting."""
+    if isinstance(setting, ExplicitSetting):
+        if lowest < 0 or highest >= setting.num_outcomes:
+            raise InputError("outcome outside explicit outcome range")
+    elif lowest < 0 or highest >> setting.m:
+        raise InputError(f"outcome bitmask outside the range of {setting.m} items")
+
+
 def outcome_probabilities(setting: Setting, outcomes: Iterable[int]) -> np.ndarray:
     """n-by-k matrix: the probability that each action produces each outcome."""
     outcomes = [int(o) for o in outcomes]
+    _check_outcomes(setting, min(outcomes, default=0), max(outcomes, default=0))
     if isinstance(setting, ExplicitSetting):
-        if outcomes and (min(outcomes) < 0 or max(outcomes) >= setting.num_outcomes):
-            raise InputError("outcome outside explicit outcome range")
         return setting.dist[:, outcomes]
-    if outcomes and (min(outcomes) < 0 or max(outcomes) >> setting.m):
-        raise InputError(f"outcome bitmask outside the range of {setting.m} items")
     bits = np.array([[(o >> j) & 1 for j in range(setting.m)] for o in outcomes], dtype=bool)
     q = setting.probs[:, None, :]
     return np.where(bits.reshape(len(outcomes), setting.m), q, 1.0 - q).prod(axis=2)
@@ -323,9 +329,8 @@ def outcome_probability(setting: Setting, action: int, outcome: int) -> float:
 def outcome_rewards(setting: Setting, outcomes: Iterable[int]) -> np.ndarray:
     """Total reward of each outcome: its realized item rewards, added in item order."""
     outcomes = np.asarray(outcomes, dtype=np.int64)
+    _check_outcomes(setting, int(outcomes.min(initial=0)), int(outcomes.max(initial=0)))
     if isinstance(setting, ExplicitSetting):
-        if outcomes.size and (outcomes.min() < 0 or outcomes.max() >= setting.num_outcomes):
-            raise InputError("outcome outside explicit outcome range")
         return setting.outcome_rewards[outcomes]
     rewards = np.zeros(outcomes.size)
     for j, r in enumerate(setting.rewards):
@@ -512,9 +517,11 @@ def all_subset_probabilities(probs: np.ndarray) -> np.ndarray:
 
     Fills one array: for item j the first 2^j columns, the subsets of the
     items before j, are copied times q_j into the next 2^j and scaled by
-    1 - q_j in place.
+    1 - q_j in place. More than M_MAX_ENUMERATE items raise CapacityError.
     """
     d, m = probs.shape
+    if m > M_MAX_ENUMERATE:
+        raise CapacityError(f"m={m} items would enumerate 2^{m} outcomes (cap {M_MAX_ENUMERATE})")
     out = np.empty((d, 1 << m))
     out[:, 0] = 1.0
     for j in range(m):
@@ -528,13 +535,11 @@ def product_to_explicit(setting: ProductSetting) -> ExplicitSetting:
     """Enumerate all 2^m outcomes of a product setting in bit-set column order."""
     if not isinstance(setting, ProductSetting):
         raise InputError("product_to_explicit expects a ProductSetting")
-    m = setting.m
-    if m > M_MAX_ENUMERATE:
-        raise CapacityError(f"m={m} items would enumerate 2^{m} outcomes (cap {M_MAX_ENUMERATE})")
+    dist = all_subset_probabilities(setting.probs)  # first: it holds the cap
     return ExplicitSetting(
         costs=setting.costs,
-        outcome_rewards=outcome_rewards(setting, np.arange(1 << m)),
-        dist=all_subset_probabilities(setting.probs),
+        outcome_rewards=outcome_rewards(setting, np.arange(1 << setting.m)),
+        dist=dist,
     )
 
 

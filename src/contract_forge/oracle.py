@@ -30,7 +30,6 @@ import numpy as np
 from .errors import CapacityError, InputError
 from .model import (
     FRONT_CAP,
-    M_MAX_ENUMERATE,
     MAX_ITEMS,
     PARTIALS_CAP,
     ArrayFields,
@@ -182,9 +181,9 @@ def _dominated(points: np.ndarray) -> np.ndarray:
     In lexicographic order, ties by position, a dominator comes first, and a
     dropped point's dominators are dominated by a kept one, so each block of
     points is compared only with the kept points before it and with itself.
+    The points need a column: without rivals ratio_front orders every item.
     """
-    # a stable sort; lexsort needs a key, and with no columns all points tie
-    order = np.lexsort(points.T[::-1]) if points.shape[1] else np.arange(len(points))
+    order = np.lexsort(points.T[::-1])  # a stable sort
     pts = points[order]
     lost = np.zeros(len(pts), dtype=bool)
     step = max(1, _BLOCK // len(pts))
@@ -205,18 +204,16 @@ def _dominated(points: np.ndarray) -> np.ndarray:
 def min_ratio_bruteforce(inst: SeparationInstance) -> OracleResult:
     """Exact minimizer over all 2^m subsets; ties go to the lowest bitmask.
 
-    More than model.M_MAX_ENUMERATE items raise CapacityError.
+    More than model.M_MAX_ENUMERATE items raise CapacityError
+    (model.all_subset_probabilities).
     """
-    if inst.m > M_MAX_ENUMERATE:
-        raise CapacityError(
-            f"m={inst.m} items would enumerate 2^{inst.m} outcomes (cap {M_MAX_ENUMERATE})"
-        )
     probs = all_subset_probabilities(inst.rows)
     ref = probs[-1]
     num = _weighted_sum(inst.weights, probs[:-1])
     valid = ref > 0.0  # the likeliest outcome has probability at least 2^-m
     ratios = np.full(ref.shape, np.inf)
-    ratios[valid] = num[valid] / ref[valid]
+    with np.errstate(over="ignore"):  # a subnormal reference probability makes an inf ratio
+        ratios[valid] = num[valid] / ref[valid]
     best = int(np.argmin(ratios))  # first occurrence = lowest bitmask
     return OracleResult(outcome=best, ratio=float(ratios[best]))
 

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -148,6 +150,9 @@ def test_random_lps_strong_duality():
         assert (c + mu @ a >= -1e-7 * scale).all(), f"trial {trial}"
         gap = abs(sol.objective_value - (-mu @ b))
         assert gap <= 1e-7 * scale, f"trial {trial}"
+        # the signs callers read without clipping hold exactly
+        assert (sol.primal >= 0.0).all() and (sol.dual <= 0.0).all(), f"trial {trial}"
+        assert math.copysign(1.0, sol.objective_value) == 1.0, f"trial {trial}"
 
 
 def test_random_lps_match_scipy():

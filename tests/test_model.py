@@ -132,10 +132,23 @@ def test_outcome_rewards_add_item_rewards_in_item_order():
         m.outcome_rewards(explicit, [1 << 7])
 
 
+def test_outcome_ids_checked_alike_by_probabilities_and_rewards():
+    product = gen_random(2, 3, 0)
+    explicit = ExplicitSetting(costs=(0.0,), outcome_rewards=(0.0, 1.0, 2.0), dist=((0.2, 0.3, 0.5),))
+    for setting, outcomes in ((product, [8]), (product, [-1]), (product, [8, 9, -1]), (explicit, [3])):
+        with pytest.raises(InputError):
+            m.outcome_rewards(setting, outcomes)
+        with pytest.raises(InputError):
+            m.outcome_probabilities(setting, outcomes)
+    assert m.outcome_rewards(product, []).size == 0 and m.outcome_probabilities(product, []).shape == (2, 0)
+
+
 def test_product_to_explicit_capacity():
     big = ProductSetting(costs=(0.0,), rewards=tuple([1.0] * 21), probs=(tuple([0.5] * 21),))
     with pytest.raises(CapacityError):
         product_to_explicit(big)
+    with pytest.raises(CapacityError):  # raised before the 2^21 columns are allocated
+        m.all_subset_probabilities(np.full((1, 21), 0.5))
 
 
 def test_separable_payment_explicit_agrees():

@@ -67,6 +67,10 @@ def test_zero_probability_handling():
     assert res2.outcome == 0b10
     fp2 = min_ratio_fptas(inst2, eps=1.0)
     assert fp2.ratio == 0.0
+    # a subnormal reference probability overflows the ratios of outcomes with item 1 to inf, unwarned
+    inst3 = SeparationInstance(weights=(1.0,), mixtures=((0.5, 0.25),), reference=(0.5, 2.2e-313))
+    for res in (min_ratio_bruteforce(inst3), min_ratio_fptas(inst3, eps=0.1)):
+        assert res == OracleResult(outcome=0, ratio=0.75)
 
 
 def test_validation_errors():
@@ -348,6 +352,7 @@ def filter_every_item(mixtures, reference):
     """ratio_front's pass with the dominance filter run after every item.
 
     The test reference for the translate shortcut: (outcomes, ratios).
+    Without rivals every partial is the same empty vector, and the first is kept.
     """
     mix = np.clip(np.asarray(mixtures, float), 0.0, 1.0)
     ref = np.clip(np.asarray(reference, float), 0.0, 1.0)
@@ -362,7 +367,7 @@ def filter_every_item(mixtures, reference):
             grown.append((logs + log_in[:, j], masks | (1 << j)))
         logs = np.concatenate([part for part, _ in grown])
         masks = np.concatenate([part for _, part in grown])
-        keep = ~_dominated(logs)
+        keep = ~_dominated(logs) if len(mix) else np.arange(len(logs)) == 0
         logs, masks = logs[keep], masks[keep]
     with np.errstate(over="ignore"):
         return masks, np.exp(logs.T)

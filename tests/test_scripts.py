@@ -22,6 +22,7 @@ SCRIPTS = [
      "n,m,seed,action,front_points,ordered_items,front_ms,front_peak_kb,lp_pivots,lp_ms"),
     (["bench_answers.py", "--workload", "relaxed", "--seeds", "1", "2"],
      "relaxed: 0 of 1 seeds wrong: []"),
+    (["cli_sweep.py", "--n", "2", "--m", "3", "--seeds", "0"], "argv,digest"),
 ]
 
 
