@@ -35,7 +35,14 @@ from typing import Optional, Tuple
 import numpy as np
 
 from .errors import InputError, ResourceError
-from .exact import OptContractResult, best_action, check_payment_delta, payment_lp, read_contract
+from .exact import (
+    OptContractResult,
+    best_action,
+    check_payment_delta,
+    payment_lp,
+    payment_rhs,
+    read_contract,
+)
 from .lpcore import OPTIMAL
 from .model import (
     MULTIPLICATIVE,
@@ -114,14 +121,14 @@ def _generate_columns(
     """
     one = 1.0 + delta
     rivals = np.arange(setting.n) != action
-    cost_gaps = setting.costs[rivals] - setting.costs[action]
+    rhs = payment_rhs(setting, action, rivals, delta, MULTIPLICATIVE)
     pool: dict[int, np.ndarray] = {}
     # oracle answers by normalized weights; with two actions every query is the same
     answers: dict[tuple, OracleResult] = {}
     trace: list[TraceRow] = []
     for it in range(_MAX_ROUNDS):
         columns = [np.ones(setting.n - 1), *pool.values()]
-        sol = payment_lp(np.column_stack(columns), cost_gaps, delta, MULTIPLICATIVE)
+        sol = payment_lp(np.column_stack(columns), rhs, delta, MULTIPLICATIVE)
         if sol.status != OPTIMAL:
             raise ResourceError(f"restricted payment LP ended {sol.status}")
         value = one * sol.objective_value

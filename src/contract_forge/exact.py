@@ -7,10 +7,12 @@ no cost, so a product setting needs only the Pareto front of its ratio
 vectors (oracle.ratio_front), not its 2^m outcomes; an explicit setting
 uses each of its outcomes with q_{a,S} > 0. A product setting whose front
 passes model.FRONT_CAP is enumerated instead if it has at most
-model.M_MAX_ENUMERATE items. delta_solver solves the same LP (payment_lp)
-over the outcome columns its separation oracle prices in, and both read
-their contract off the LP's primal with read_contract, which checks it
-against its own IC condition.
+model.M_MAX_ENUMERATE items. When the LP's right-hand side (payment_rhs) is
+nonnegative, as for an action no costlier than its rivals, x = 0 is its
+optimum, so min_payment pays 0.0 with no front and no LP. delta_solver
+solves the same LP (payment_lp) over the outcome columns its separation
+oracle prices in, and both read their contract off the LP's primal with
+read_contract, which checks it against its own IC condition.
 
 The LP is written in the setting's own unit of money; lpcore.solve_lp scales
 it. Picking the winning action counts payoffs within model.TOL_TIE money
@@ -88,20 +90,22 @@ def min_payment(
     check_payment_delta(delta, notion)
     _check_action(setting, action)
     rivals = np.arange(setting.n) != action
-    outcomes, ratios = _ratio_columns(setting, action, rivals)
-    if not np.isfinite(ratios).all():
-        raise CapacityError(f"a likelihood ratio against action {action} overflows float64")
-    sol = payment_lp(ratios, setting.costs[rivals] - setting.costs[action], delta, notion)
-    if sol.status == INFEASIBLE:
-        return MinPaymentResult(
-            action=action, expected_payment=math.inf, contract=None, status=NOT_IMPLEMENTABLE
-        )
-    contract = read_contract(setting, action, outcomes, sol.primal, delta, notion)
+    rhs = payment_rhs(setting, action, rivals, delta, notion)
+    if (rhs >= 0.0).all():  # x = 0 is feasible and costs nothing: the LP's optimum
+        outcomes, primal, payment = np.empty(0, dtype=np.int64), np.empty(0), 0.0
+    else:
+        outcomes, ratios = _ratio_columns(setting, action, rivals)
+        if not np.isfinite(ratios).all():
+            raise CapacityError(f"a likelihood ratio against action {action} overflows float64")
+        sol = payment_lp(ratios, rhs, delta, notion)
+        if sol.status == INFEASIBLE:
+            return MinPaymentResult(
+                action=action, expected_payment=math.inf, contract=None, status=NOT_IMPLEMENTABLE
+            )
+        primal, payment = sol.primal, float(sol.objective_value)
+    contract = read_contract(setting, action, outcomes, primal, delta, notion)
     return MinPaymentResult(
-        action=action,
-        expected_payment=float(sol.objective_value),
-        contract=contract,
-        status=IMPLEMENTABLE,
+        action=action, expected_payment=payment, contract=contract, status=IMPLEMENTABLE
     )
 
 
@@ -143,24 +147,26 @@ def check_payment_delta(delta: float, notion: str) -> None:
         raise InputError(f"multiplicative delta={delta} is below what the payment LP tells from roundoff")
 
 
-def payment_lp(ratios: np.ndarray, cost_gaps: np.ndarray, delta: float, notion: str) -> LPSolution:
+def payment_rhs(setting: Setting, action: int, rivals: np.ndarray, delta: float, notion: str) -> np.ndarray:
+    """The payment LP's right-hand side: c_k - c_a per rival k, plus delta for the additive notion."""
+    gaps = setting.costs[rivals] - setting.costs[action]
+    return gaps if notion == MULTIPLICATIVE else gaps + delta
+
+
+def payment_lp(ratios: np.ndarray, rhs: np.ndarray, delta: float, notion: str) -> LPSolution:
     """Solve min sum_S y_S over columns of rivals-by-columns likelihood ratios.
 
     y_S = q_{a,S} x_S is the target's expected payment on column S, and each
     rival k's row keeps it from gaining by deviating: sum_S (r_{k,S} - (1+delta)) y_S
-    <= c_k - c_a for the multiplicative notion, sum_S (r_{k,S} - 1) y_S
-    <= c_k - c_a + delta for the additive one. A column of ratios 1 is the
-    sure event: a base payment made on every outcome.
+    <= rhs_k for the multiplicative notion, sum_S (r_{k,S} - 1) y_S <= rhs_k
+    for the additive one, with rhs_k from payment_rhs. A column of ratios 1
+    is the sure event: a base payment made on every outcome.
 
     Takes ownership of `ratios`: they are shifted into the rows in place, so
     the caller must not read them afterwards.
     """
-    if notion == MULTIPLICATIVE:
-        ratios -= 1.0 + delta
-    else:
-        ratios -= 1.0
-        cost_gaps = cost_gaps + delta
-    return solve_lp(np.ones(ratios.shape[1]), ratios, cost_gaps)
+    ratios -= 1.0 + delta if notion == MULTIPLICATIVE else 1.0
+    return solve_lp(np.ones(ratios.shape[1]), ratios, rhs)
 
 
 def _ratio_columns(setting: Setting, action: int, rivals: np.ndarray):

@@ -410,6 +410,23 @@ def test_blackbox_csv_shape(tmp_path, capsys):
     assert lines[2].split(",")[0] == "7" and lines[3].split(",")[0] == "8"
 
 
+def _all_on_front(free_rows_first: bool) -> dict:
+    """Three actions on 21 items whose rival ratios are (1 +- eps_j)-products.
+
+    Their logs sum to a constant, so all 2^21 outcomes of the action with
+    probabilities 0.5 sit on its likelihood-ratio front, past its cap. That
+    action is the free action 0 if free_rows_first, else action 1 at cost 0.001.
+    """
+    eps = [0.3 * (j + 1) / 22 for j in range(21)]
+    flat, high, low = [0.5] * 21, [0.5 + e / 2 for e in eps], [0.5 - e / 2 for e in eps]
+    return {
+        "kind": "product",
+        "costs": [0.0, 0.001, 0.001],
+        "rewards": [0.01] * 21,
+        "probs": [flat, high, low] if free_rows_first else [high, flat, low],
+    }
+
+
 def test_exit_codes(tmp_path, capsys):
     code, _, _ = run(capsys, ["solve", "--bogus"])
     assert code == 2
@@ -419,23 +436,12 @@ def test_exit_codes(tmp_path, capsys):
     bad.write_text("{not json")
     code, _, err = run(capsys, ["solve", "--instance", str(bad)])
     assert code == 2 and "malformed JSON" in err
-    # rival ratios (1 +- eps_j)-products whose logs sum to a constant: all
-    # 2^21 outcomes of action 0 sit on its likelihood-ratio front, past its
-    # cap, and m=21 is too many items to enumerate instead
-    eps = [0.3 * (j + 1) / 22 for j in range(21)]
+    # action 1 costs more than action 0, so its LP needs its front, which
+    # passes the cap, and m=21 is too many items to enumerate instead
     big = tmp_path / "big.json"
-    big.write_text(
-        json.dumps(
-            {
-                "kind": "product",
-                "costs": [0.0, 0.001, 0.001],
-                "rewards": [0.01] * 21,
-                "probs": [[0.5] * 21, [0.5 + e / 2 for e in eps], [0.5 - e / 2 for e in eps]],
-            }
-        )
-    )
-    code, _, err = run(capsys, ["solve", "--instance", str(big)])
-    assert code == 4 and "resource limit" in err
+    big.write_text(json.dumps(_all_on_front(free_rows_first=False)))
+    code, out, err = run(capsys, ["solve", "--instance", str(big)])
+    assert code == 4 and out == "" and "resource limit" in err
     # action 1's cheapest contract pays on the all-in outcome, whose
     # probability 1e-330 underflows to 0
     tiny = tmp_path / "tiny.json"
@@ -453,6 +459,19 @@ def test_exit_codes(tmp_path, capsys):
     assert code == 4 and out == "" and "Traceback" not in err
     code, out, _ = run(capsys, ["gen", "gap", "--c", "2", "--gamma", "0.1", "--contract-out", str(tmp_path / "x.json")])
     assert code == 2 and out == ""
+
+
+def test_free_action_needs_no_front(tmp_path, capsys):
+    # the free action's front passes its cap, but its LP's right-hand side
+    # (the cost gaps) is nonnegative, so it is paid 0.0 without that front
+    inst, con = tmp_path / "big.json", tmp_path / "c.json"
+    inst.write_text(json.dumps(_all_on_front(free_rows_first=True)))
+    code, out, err = run(capsys, ["solve", "--instance", str(inst), "--contract-out", str(con)])
+    assert code == 0, err
+    action = result_of(out)["action"]
+    code, out, _ = run(capsys, ["verify", "--instance", str(inst), "--contract", str(con),
+                                "--action", str(action)])
+    assert code == 0 and result_of(out)["ok"] is True
 
 
 @pytest.mark.parametrize(

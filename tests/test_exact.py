@@ -19,7 +19,7 @@ from contract_forge import (
     verify_delta_ic,
 )
 from contract_forge.errors import ResourceError
-from contract_forge.model import TOL_IC, dumps, money_unit
+from contract_forge.model import ADDITIVE, MULTIPLICATIVE, TOL_IC, Sparse, dumps, money_unit
 from contract_forge.exact import (
     IMPLEMENTABLE,
     NOT_IMPLEMENTABLE,
@@ -284,7 +284,7 @@ def test_twin_of_cheaper_action_not_implementable():
 
 def test_free_action_pays_exactly_zero():
     # the cheapest action needs no contract: its LP's right side (the cost
-    # gaps) is nonnegative, so x = 0 is optimal with no pivot and no roundoff
+    # gaps) is nonnegative, so x = 0 is optimal, paid with no front and no LP
     for n, m in ((2, 3), (3, 5), (4, 4)):
         for seed in range(60):
             setting = g.gen_random(n, m, seed)
@@ -292,6 +292,49 @@ def test_free_action_pays_exactly_zero():
             assert res.status == IMPLEMENTABLE, (n, m, seed)
             assert res.expected_payment == 0.0 and math.copysign(1.0, res.expected_payment) == 1.0
             assert res.contract.base == 0.0 and not res.contract.payments
+
+
+def _lp_path(setting, action, delta, notion):
+    """min_payment's answer through payment_lp, with no closed form: the reference."""
+    rivals = np.arange(setting.n) != action
+    outcomes, ratios = exact._ratio_columns(setting, action, rivals)
+    sol = exact.payment_lp(ratios, exact.payment_rhs(setting, action, rivals, delta, notion), delta, notion)
+    return sol, exact.read_contract(setting, action, outcomes, sol.primal, delta, notion)
+
+
+@settings(max_examples=40)
+@given(
+    n=st.integers(1, 6),
+    m=st.integers(1, 12),
+    seed=st.integers(0, 2**31 - 1),
+    form=st.sampled_from(["product", "explicit", "tied", "x1e-9", "x1e9"]),
+)
+def test_closed_form_matches_lp_path(n, m, seed, form):
+    # an action whose LP right-hand side is nonnegative is paid 0.0 with no
+    # front and no LP; the LP it skips ends at x = 0 with the same bits
+    s = g.gen_random(n, m, seed)
+    if form == "explicit":
+        s = product_to_explicit(s)
+    elif form == "tied":  # actions 2i and 2i+1 cost the same
+        s = ProductSetting(costs=s.costs[np.arange(n) & ~1], rewards=s.rewards, probs=s.probs)
+    elif form != "product":
+        s = rescaled(s, float(form[1:]))
+    closed = 0
+    for action in range(n):
+        rivals = np.arange(n) != action
+        for delta in (0.0, 0.1, 1.0):
+            for notion in (MULTIPLICATIVE, ADDITIVE):
+                if not (exact.payment_rhs(s, action, rivals, delta, notion) >= 0.0).all():
+                    continue
+                closed += 1
+                res = min_payment(s, action, delta, notion)
+                assert res.status == IMPLEMENTABLE
+                assert res.expected_payment == 0.0 and math.copysign(1.0, res.expected_payment) == 1.0
+                assert res.contract == Sparse()
+                sol, contract = _lp_path(s, action, delta, notion)
+                assert sol.iterations == 0
+                assert (sol.objective_value, contract) == (res.expected_payment, res.contract)
+    assert closed  # action 0 is free
 
 
 # scipy.optimize.linprog(method="highs") on the enumerated payment LP of
